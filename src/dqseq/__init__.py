@@ -7,7 +7,7 @@ from .distiller import DistillConfig
 from .harness import RunManifest, run_experiment, write_table
 from .metrics import footprint
 from .model import ModelConfig, SeqModel, init_model
-from .quantizer import QuantConfig, QuantPolicy
+from .quantizer import QuantConfig
 from .tasks import TaskSpec, generate_task
 from .tensor import Tape, Tensor, backward, no_grad
 from .trainer import TrainConfig, evaluate, train
@@ -21,7 +21,6 @@ __all__ = [
     "SeqModel",
     "init_model",
     "QuantConfig",
-    "QuantPolicy",
     "DistillConfig",
     "TrainConfig",
     "train",

@@ -6,12 +6,14 @@ Layout, all little-endian:
     u64 name length | name | u64 rank | u64 dims... | u8 dtype tag | payload
 Tag 0 is raw float32. Tag 1 is quantized: u8 bits, u8 alpha rank,
 u64 alpha count, float32 alphas, then packed codes. The config block is one
-"key=json" line per field, sorted by key.
+"key=json" line per field, sorted by key. Reading a malformed or truncated
+file raises CheckpointError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -19,9 +21,9 @@ import numpy as np
 
 from .distiller import DistillConfig
 from .model import ModelConfig, SeqModel, param_specs
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, pack_codes, unpack_codes
+from .quantizer import PACKED_BITS, QuantConfig, QuantizedTensor, pack_codes, unpack_codes
 from .tensor import Tensor
-from .trainer import CheckpointMeta, TrainConfig
+from .trainer import CheckpointMeta, TrainConfig, TrainError
 
 MAGIC = b"DQS2"
 VERSION = 1
@@ -49,11 +51,11 @@ def _config_block(meta: CheckpointMeta) -> bytes:
 
 
 def _parse_config_block(blob: bytes) -> CheckpointMeta:
-    fields = {}
-    for line in blob.decode("utf-8").splitlines():
-        key, _, value = line.partition("=")
-        fields[key] = json.loads(value)
     try:
+        fields = {}
+        for line in blob.decode("utf-8").splitlines():
+            key, _, value = line.partition("=")
+            fields[key] = json.loads(value)
         return CheckpointMeta(
             model_config=ModelConfig(**fields["model_config"]),
             quant_config=QuantConfig(**fields["quant_config"]),
@@ -65,7 +67,7 @@ def _parse_config_block(blob: bytes) -> CheckpointMeta:
             history=fields["history"],
             best_epoch=fields["best_epoch"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, TrainError) as exc:
         raise CheckpointError(f"config block is missing or malformed: {exc}") from exc
 
 
@@ -140,31 +142,49 @@ def load_checkpoint(path: str):
     meta = _parse_config_block(r.take(r.u64()))
     params: dict[str, Tensor | QuantizedTensor] = {}
     while not r.exhausted:
-        name = r.take(r.u64()).decode("utf-8")
+        try:
+            name = r.take(r.u64()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not utf-8: {exc}") from exc
         shape = tuple(r.u64() for _ in range(r.u64()))
-        count = int(np.prod(shape)) if shape else 1
-        tag = r.u8()
-        if tag == TAG_FLOAT32:
-            data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-            params[name] = Tensor(data.copy(), requires_grad=True, name=name)
-        elif tag == TAG_QUANTIZED:
-            bits, alpha_rank, n_scales = r.u8(), r.u8(), r.u64()
-            alpha = np.frombuffer(r.take(4 * n_scales), dtype="<f4")
-            alpha = alpha[0] if alpha_rank == 0 else alpha.copy()
-            codes = unpack_codes(r.take(-(-count * bits // 8)), bits, count)
-            params[name] = QuantizedTensor(alpha, codes.reshape(shape), bits, shape)
-        else:
-            raise CheckpointError(f"unknown dtype tag {tag} for tensor {name!r}")
+        try:
+            params[name] = _read_payload(r, name, shape)
+        except CheckpointError:
+            raise
+        except ValueError as exc:  # shape numpy cannot build, alpha that fits no layout
+            raise CheckpointError(f"bad record for tensor {name!r}: {exc}") from exc
     return params, meta
+
+
+def _read_payload(r: _Reader, name: str, shape: tuple[int, ...]):
+    count = math.prod(shape)
+    tag = r.u8()
+    if tag == TAG_FLOAT32:
+        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
+        return Tensor(data.copy(), requires_grad=True, name=name)
+    if tag != TAG_QUANTIZED:
+        raise CheckpointError(f"unknown dtype tag {tag} for tensor {name!r}")
+    bits, alpha_rank, n_scales = r.u8(), r.u8(), r.u64()
+    if bits not in PACKED_BITS:
+        raise CheckpointError(f"tensor {name!r} has {bits}-bit codes, not one of {PACKED_BITS}")
+    if alpha_rank > 1 or (alpha_rank == 0 and n_scales != 1):
+        raise CheckpointError(
+            f"tensor {name!r} has alpha rank {alpha_rank} with {n_scales} scales"
+        )
+    alpha = np.frombuffer(r.take(4 * n_scales), dtype="<f4")
+    alpha = alpha[0] if alpha_rank == 0 else alpha.copy()
+    codes = unpack_codes(r.take(-(-count * bits // 8)), bits, count)
+    return QuantizedTensor(alpha, codes.reshape(shape), bits, shape)
 
 
 def build_model(params: dict, meta: CheckpointMeta) -> SeqModel:
     """Materialize a SeqModel, dequantizing any quantized parameters.
 
-    The parameter names must exactly match the model config's inventory.
+    The parameter names and shapes must exactly match the model config's
+    inventory.
     """
-    expected = {name for name, _, _ in param_specs(meta.model_config)}
-    got = set(params)
+    shapes = {name: shape for name, shape, _ in param_specs(meta.model_config)}
+    expected, got = set(shapes), set(params)
     if got != expected:
         missing, extra = sorted(expected - got), sorted(got - expected)
         raise CheckpointError(
@@ -172,8 +192,12 @@ def build_model(params: dict, meta: CheckpointMeta) -> SeqModel:
         )
     out = {}
     for name, value in params.items():
-        t = dequantize(value) if isinstance(value, QuantizedTensor) else value
-        out[name] = Tensor(t.data.copy(), requires_grad=True, name=name)
+        if tuple(value.shape) != shapes[name]:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {tuple(value.shape)}, the config names {shapes[name]}"
+            )
+        data = value.values() if isinstance(value, QuantizedTensor) else value.data.copy()
+        out[name] = Tensor(data, requires_grad=True, name=name)
     return SeqModel(meta.model_config, out)
 
 

@@ -18,7 +18,7 @@ from .distiller import DistillConfig
 from .harness import HarnessError, RunManifest, run_experiment, write_table
 from .metrics import bart_base_param_specs, footprint
 from .model import ModelConfig
-from .quantizer import PolicyError, QuantConfig, QuantPolicy
+from .quantizer import PolicyError, QuantConfig
 from .tasks import KINDS, TaskError, TaskSpec, generate_task
 from .trainer import MODES, TrainConfig, TrainError, evaluate
 
@@ -38,7 +38,7 @@ def _add_bits_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--e-bits", type=int, default=32)
     p.add_argument("--a-bits", type=int, default=32)
     p.add_argument("--row-wise", action="store_true",
-                   help="per-row scales for 2-D tensors")
+                   help="per-row scales for 2-D tensors; compress stores it in the checkpoint")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -55,7 +55,7 @@ def _task_spec(args) -> TaskSpec:
 
 
 def _qconfig(args) -> QuantConfig:
-    return QuantConfig(args.w_bits, args.e_bits, args.a_bits)
+    return QuantConfig(args.w_bits, args.e_bits, args.a_bits, args.row_wise)
 
 
 def _print_row(row: dict) -> None:
@@ -125,8 +125,7 @@ def _cmd_compress(args) -> int:
         teacher_path=args.teacher,
         out_path=args.out,
     )
-    policy = QuantPolicy(row_wise=True) if args.row_wise else None
-    row = run_experiment(manifest, policy=policy, log_path=args.log)
+    row = run_experiment(manifest, log_path=args.log)
     if args.manifest:
         manifest.save(args.manifest)
     _print_row(row)
@@ -150,7 +149,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_footprint(args) -> int:
     qconfig = _qconfig(args)
-    policy = QuantPolicy(row_wise=True) if args.row_wise else None
     if args.arch == "bart-base":
         enc = 6 if args.enc_layers is None else args.enc_layers
         dec = 6 if args.dec_layers is None else args.dec_layers
@@ -162,7 +160,7 @@ def _cmd_footprint(args) -> int:
         target = ModelConfig(args.vocab_size, args.d_model, args.n_heads, args.d_ff,
                              enc, dec, args.max_positions)
         baseline = None
-    fp = footprint(target, qconfig, policy, baseline=baseline)
+    fp = footprint(target, qconfig, baseline=baseline)
     print(f"{args.arch} {qconfig.label} {enc}-{dec}: "
           f"{fp.size_mib:.2f} MiB, ratio {fp.ratio:.2f}x")
     return 0

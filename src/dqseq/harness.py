@@ -18,7 +18,7 @@ from .checkpoint import CheckpointError, load_model, save_checkpoint
 from .distiller import DistillConfig
 from .metrics import footprint
 from .model import ModelConfig
-from .quantizer import QuantConfig, QuantPolicy
+from .quantizer import QuantConfig
 from .tasks import TaskError, TaskSpec, generate_task
 from .trainer import TrainConfig, TrainError, evaluate, train
 
@@ -106,11 +106,7 @@ class RunManifest:
             return cls.from_json(fh.read())
 
 
-def run_experiment(
-    manifest: RunManifest,
-    policy: QuantPolicy | None = None,
-    log_path: str | None = None,
-) -> dict:
+def run_experiment(manifest: RunManifest, log_path: str | None = None) -> dict:
     """Run one manifest end to end and fill in its result row.
 
     Student modes resolve the teacher checkpoint before anything else, so a
@@ -149,15 +145,14 @@ def run_experiment(
             model_config=manifest.model_config,
             qconfig=manifest.quant_config,
             dconfig=manifest.distill_config,
-            policy=policy,
             log_path=log_path,
         )
     except (TaskError, TrainError) as exc:
         raise HarnessError(f"manifest {tag}: {exc}") from exc
 
     eval_qconfig = meta.quant_config if meta.quant_config.any_quantized() else None
-    report = evaluate(model, splits.test, eval_qconfig, policy)
-    fp = footprint(model, meta.quant_config, policy, baseline=baseline)
+    report = evaluate(model, splits.test, eval_qconfig)
+    fp = footprint(model, meta.quant_config, baseline=baseline)
     shape = f"{model.config.n_enc_layers}-{model.config.n_dec_layers}"
     manifest.result = {
         "config": f"{meta.quant_config.label} {shape}",

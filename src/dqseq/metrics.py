@@ -7,10 +7,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ModelConfig, SeqModel, param_specs
-from .quantizer import EMBEDDING, EXCLUDED, WEIGHT, QuantConfig, QuantPolicy
+from .quantizer import EMBEDDING, EXCLUDED, WEIGHT, QuantConfig
 
 BYTES_PER_SCALE = 4  # scales stored as float32
 MIB = 1024 * 1024
@@ -135,20 +133,16 @@ def _specs_of(target) -> list[tuple[str, tuple[int, ...], str]]:
     return list(target)
 
 
-def _tensor_bytes(shape: tuple[int, ...], bits: int, row_wise: bool) -> int:
-    count = int(np.prod(shape))
+def _tensor_bytes(shape: tuple[int, ...], category: str, qconfig: QuantConfig) -> int:
+    count = math.prod(shape)
+    bits = qconfig.bits_for(category)
     if bits == 32:
         return 4 * count
-    scales = shape[0] if row_wise and len(shape) == 2 else 1
+    scales = shape[0] if qconfig.row_wise_for(shape) else 1
     return math.ceil(count * bits / 8) + BYTES_PER_SCALE * scales
 
 
-def footprint(
-    target,
-    qconfig: QuantConfig,
-    policy: QuantPolicy | None = None,
-    baseline=None,
-) -> FootprintReport:
+def footprint(target, qconfig: QuantConfig, baseline=None) -> FootprintReport:
     """Serialized size of a (possibly quantized) model and its compression ratio.
 
     target and baseline are a SeqModel, a ModelConfig, or an explicit
@@ -156,13 +150,12 @@ def footprint(
     baseline specs held entirely at 32 bits; baseline defaults to the
     target itself, so pass the full-depth teacher when depth was reduced.
     """
-    policy = policy or QuantPolicy()
     buckets = {WEIGHT: 0, EMBEDDING: 0, EXCLUDED: 0}
     for _, shape, category in _specs_of(target):
-        bits = policy.bits_for(category, qconfig)
-        buckets[category] += _tensor_bytes(tuple(shape), bits, policy.row_wise)
+        size = _tensor_bytes(tuple(shape), category, qconfig)  # rejects unknown categories
+        buckets[category] += size
     base_specs = _specs_of(target if baseline is None else baseline)
-    baseline_bytes = 4 * sum(int(np.prod(shape)) for _, shape, _ in base_specs)
+    baseline_bytes = 4 * sum(math.prod(shape) for _, shape, _ in base_specs)
     return FootprintReport(
         weight_bytes=buckets[WEIGHT],
         embedding_bytes=buckets[EMBEDDING],

@@ -116,26 +116,6 @@ def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return specs
 
 
-@dataclass
-class ParamCounts:
-    weights: int
-    embeddings: int
-    excluded: int
-
-    @property
-    def total(self) -> int:
-        return self.weights + self.embeddings + self.excluded
-
-
-def count_parameters(model_or_config) -> ParamCounts:
-    """Parameter counts split by quantization category, from shapes alone."""
-    config = model_or_config.config if isinstance(model_or_config, SeqModel) else model_or_config
-    counts = {WEIGHT: 0, EMBEDDING: 0, EXCLUDED: 0}
-    for _, shape, cat in param_specs(config):
-        counts[cat] += int(np.prod(shape))
-    return ParamCounts(counts[WEIGHT], counts[EMBEDDING], counts[EXCLUDED])
-
-
 class SeqModel:
     """Configuration plus a named parameter dict."""
 
@@ -346,16 +326,3 @@ def greedy_decode_batch(
             break
         tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
     return outs
-
-
-def greedy_decode(
-    model: SeqModel,
-    src_ids: list[int],
-    bos_id: int,
-    eos_id: int,
-    max_len: int,
-    a_bits: int = 32,
-) -> list[int]:
-    """Greedy decoding of one sequence; stops at eos_id or max_len tokens."""
-    # single unpadded sequence: use a pad id that matches nothing
-    return greedy_decode_batch(model, [list(src_ids)], bos_id, eos_id, max_len, -1, a_bits)[0]

@@ -16,6 +16,7 @@ from .tensor import Tensor, straight_through
 
 ALLOWED_WEIGHT_BITS = (2, 4, 8, 32)
 ALLOWED_ACTIVATION_BITS = (8, 32)
+PACKED_BITS = (2, 4, 8)  # code widths the storage layout packs
 
 # parameter categories, as reported by model.param_specs
 WEIGHT = "weight"
@@ -24,16 +25,23 @@ EXCLUDED = "excluded"
 
 
 class PolicyError(ValueError):
-    """A parameter fell outside every quantization policy category."""
+    """A parameter fell outside every quantization category."""
 
 
 @dataclass(frozen=True)
 class QuantConfig:
-    """Bit widths for hidden weights, the word embedding table, activations."""
+    """Bit widths and scale granularity of a quantized model.
+
+    Hidden weight matrices follow w_bits, the tied word embedding table
+    follows e_bits, and everything else (positional embeddings, biases,
+    layer-norm parameters) stays full precision; activations follow a_bits.
+    Scales are per tensor, or per row of each 2-D tensor when row_wise is set.
+    """
 
     w_bits: int = 32
     e_bits: int = 32
     a_bits: int = 32
+    row_wise: bool = False
 
     def __post_init__(self):
         if self.w_bits not in ALLOWED_WEIGHT_BITS:
@@ -44,6 +52,8 @@ class QuantConfig:
             raise ValueError(
                 f"a_bits must be one of {ALLOWED_ACTIVATION_BITS}, got {self.a_bits}"
             )
+        if not isinstance(self.row_wise, bool):
+            raise ValueError(f"row_wise must be a bool, got {self.row_wise!r}")
 
     @property
     def label(self) -> str:
@@ -52,27 +62,19 @@ class QuantConfig:
     def any_quantized(self) -> bool:
         return self.w_bits < 32 or self.e_bits < 32 or self.a_bits < 32
 
-
-@dataclass(frozen=True)
-class QuantPolicy:
-    """Maps parameter categories to the bit width that applies to them.
-
-    Hidden weight matrices follow w_bits, the tied word embedding table
-    follows e_bits, and everything else (positional embeddings, biases,
-    layer-norm parameters) stays full precision. Scales are per tensor;
-    per-row scales for 2-D tensors sit behind the row_wise flag.
-    """
-
-    row_wise: bool = False
-
-    def bits_for(self, category: str, qconfig: QuantConfig) -> int:
+    def bits_for(self, category: str) -> int:
+        """The storage width of a parameter category."""
         if category == WEIGHT:
-            return qconfig.w_bits
+            return self.w_bits
         if category == EMBEDDING:
-            return qconfig.e_bits
+            return self.e_bits
         if category == EXCLUDED:
             return 32
         raise PolicyError(f"no quantization rule covers category {category!r}")
+
+    def row_wise_for(self, shape: tuple[int, ...]) -> bool:
+        """Whether a tensor of this shape gets one scale per row (2-D only)."""
+        return self.row_wise and len(shape) == 2
 
 
 @dataclass
@@ -96,6 +98,13 @@ class QuantizedTensor:
             raise ValueError(f"codes shape {self.codes.shape} != {self.shape}")
         if np.any(self.alpha < 0):
             raise ValueError("alpha must be nonnegative")
+        if self.alpha.ndim > 1 or (
+            self.alpha.ndim == 1 and (len(self.shape) != 2 or self.alpha.size != self.shape[0])
+        ):
+            raise ValueError(
+                f"alpha of shape {self.alpha.shape} fits neither one scale nor one per row "
+                f"of shape {self.shape}"
+            )
 
     @property
     def n_scales(self) -> int:
@@ -103,8 +112,8 @@ class QuantizedTensor:
 
     def values(self) -> np.ndarray:
         if self.alpha.ndim == 0:
-            return (self.alpha * self.codes).astype(np.float32)
-        return (self.alpha[:, None] * self.codes).astype(np.float32)
+            return (self.alpha * self.codes).astype(np.float32, copy=False)
+        return (self.alpha[:, None] * self.codes).astype(np.float32, copy=False)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -185,11 +194,6 @@ def quantize(w, n_bits: int, row_wise: bool = False) -> QuantizedTensor:
     return linear_quantize(w, n_bits, row_wise=row_wise)
 
 
-def dequantize(q: QuantizedTensor) -> Tensor:
-    """Reconstruct float32 values alpha * codes as a plain tensor."""
-    return Tensor(q.values())
-
-
 def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
     """8-bit symmetric fake-quantization of an activation tensor.
 
@@ -208,51 +212,39 @@ def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
     return straight_through(x, vals)
 
 
-def quantize_params(params: dict, categories: dict, qconfig: QuantConfig,
-                    policy: QuantPolicy | None = None) -> dict:
+def quantize_params(params: dict, categories: dict, qconfig: QuantConfig) -> dict:
     """Quantize a named parameter set for storage.
 
     Returns a dict mapping each name to a QuantizedTensor (covered
     categories below 32 bits) or the original Tensor (passthrough).
     """
-    policy = policy or QuantPolicy()
     out = {}
     for name, t in params.items():
         if name not in categories:
             raise PolicyError(f"parameter {name!r} not covered by any category")
-        bits = policy.bits_for(categories[name], qconfig)
-        if bits == 32:
-            out[name] = t
-        else:
-            row = policy.row_wise and t.data.ndim == 2
-            out[name] = quantize(t, bits, row_wise=row)
+        bits = qconfig.bits_for(categories[name])
+        out[name] = t if bits == 32 else quantize(t, bits, qconfig.row_wise_for(t.shape))
     return out
 
 
-def quantize_model(model, qconfig: QuantConfig, policy: QuantPolicy | None = None):
+def quantize_model(model, qconfig: QuantConfig):
     """Build the quantized view of a model for forward passes.
 
-    Every covered parameter is replaced by dequantize(quantize(w)) wired
-    through a straight-through node, so gradients land on the master
-    tensors. Excluded categories share the master tensors; with all bit
-    widths at 32 the view's forward is bit-identical to the original.
+    Every parameter that quantize_params stores quantized is replaced by its
+    dequantized values wired through a straight-through node, so gradients
+    land on the master tensors. Excluded categories share the master
+    tensors; with all bit widths at 32 the view's forward is bit-identical
+    to the original.
     """
     from .model import SeqModel, param_specs  # deferred: model imports this module
 
-    policy = policy or QuantPolicy()
     categories = {name: cat for name, _, cat in param_specs(model.config)}
-    new_params = {}
-    for name, t in model.params.items():
-        if name not in categories:
-            raise PolicyError(f"parameter {name!r} not covered by any category")
-        bits = policy.bits_for(categories[name], qconfig)
-        if bits == 32:
-            new_params[name] = t
-        else:
-            row = policy.row_wise and t.data.ndim == 2
-            q = quantize(t.data, bits, row_wise=row)
-            new_params[name] = straight_through(t, q.values())
-    return SeqModel(model.config, new_params)
+    stored = quantize_params(model.params, categories, qconfig)
+    return SeqModel(model.config, {
+        name: straight_through(model.params[name], q.values())
+        if isinstance(q, QuantizedTensor) else q
+        for name, q in stored.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +257,8 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     Layout is little-endian: the lowest-index code occupies the least
     significant bits of each byte. 2-bit codes pack four per byte.
     """
-    if bits not in (2, 4, 8):
-        raise ValueError(f"packable widths are 2, 4, 8; got {bits}")
+    if bits not in PACKED_BITS:
+        raise ValueError(f"packable widths are {PACKED_BITS}; got {bits}")
     flat = np.asarray(codes, dtype=np.int16).reshape(-1)
     u = (flat & ((1 << bits) - 1)).astype(np.uint8)
     per = 8 // bits
@@ -282,8 +274,8 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
 
 def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
     """Inverse of pack_codes; returns int8 codes of the requested length."""
-    if bits not in (2, 4, 8):
-        raise ValueError(f"packable widths are 2, 4, 8; got {bits}")
+    if bits not in PACKED_BITS:
+        raise ValueError(f"packable widths are {PACKED_BITS}; got {bits}")
     u = np.frombuffer(buf, dtype=np.uint8)
     per = 8 // bits
     if per > 1:

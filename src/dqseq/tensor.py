@@ -63,10 +63,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """A view on the same storage that never requires grad."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def __add__(self, other):
         return add(self, other)
 
@@ -288,17 +284,6 @@ def gelu(a) -> Tensor:
         return (g * d,)
 
     return _record("gelu", out, (a,), bwd)
-
-
-def elementwise(op: str, a, b=None) -> Tensor:
-    """Dispatch by name over {add, sub, mul, scale, relu, gelu}."""
-    unary = {"relu": relu, "gelu": gelu}
-    binary = {"add": add, "sub": sub, "mul": mul, "scale": scale}
-    if op in unary:
-        return unary[op](a)
-    if op in binary:
-        return binary[op](a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 def add_bias(a, b) -> Tensor:

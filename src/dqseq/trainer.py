@@ -16,9 +16,9 @@ import numpy as np
 from .distiller import DistillConfig, LayerMap, LossBreakdown, init_student, total_loss
 from .metrics import accuracy, rouge_scores
 from .model import ModelConfig, SeqModel, forward, greedy_decode_batch, init_model
-from .quantizer import QuantConfig, QuantPolicy, quantize_model
+from .quantizer import QuantConfig, quantize_model
 from .tasks import BOS, EOS, PAD, Dataset, Splits, detokenize, seq2seq_batch
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward, no_grad
 
 MODES = ("teacher", "dq", "quant_only", "distill_only", "sf", "direct_quant")
 
@@ -141,7 +141,6 @@ def distillation_aware_step(
     layer_map: LayerMap | None,
     optimizer: Adam,
     lr: float,
-    policy: QuantPolicy | None = None,
     grad_clip: float = 1.0,
     task_only: bool = False,
     rng: np.random.Generator | None = None,
@@ -150,16 +149,18 @@ def distillation_aware_step(
 
     With task_only (teacher pretraining, shrink-and-finetune) the teacher
     forward is skipped and the distillation components are zero constants.
+    The teacher forward runs off the tape, so no gradient reaches the teacher.
     """
     src, dec_in, labels = batch
     master.zero_grad()
     with Tape() as tape:
-        view = quantize_model(master, qconfig, policy)
+        view = quantize_model(master, qconfig)
         strace = forward(view, src, dec_in, PAD, a_bits=qconfig.a_bits, training=True, rng=rng)
         if teacher is None or task_only:
             bd = total_loss(strace, None, labels, None, PAD)
         else:
-            ttrace = forward(teacher, src, dec_in, PAD)
+            with no_grad():
+                ttrace = forward(teacher, src, dec_in, PAD)
             bd = total_loss(strace, ttrace, labels, layer_map, PAD)
     if not np.isfinite(bd.total.item()):
         where = tape.first_nonfinite()
@@ -175,7 +176,6 @@ def evaluate(
     model: SeqModel,
     dataset: Dataset,
     qconfig: QuantConfig | None = None,
-    policy: QuantPolicy | None = None,
     batch_size: int = 32,
 ) -> EvalReport:
     """Greedy-decode every example and score against the references.
@@ -187,7 +187,7 @@ def evaluate(
         raise TrainError("cannot evaluate on an empty dataset")
     view, a_bits = model, 32
     if qconfig is not None:
-        view = quantize_model(model, qconfig, policy)
+        view = quantize_model(model, qconfig)
         a_bits = qconfig.a_bits
     preds: list[list[int]] = []
     refs: list[list[int]] = []
@@ -204,11 +204,6 @@ def evaluate(
         r1, r2, rl = r1 + s.r1, r2 + s.r2, rl + s.rl
     n = len(preds)
     return EvalReport(token_acc, seq_acc, r1 / n, r2 / n, rl / n, n)
-
-
-def _freeze(model: SeqModel) -> None:
-    for t in model.params.values():
-        t.requires_grad = False
 
 
 def _resolve_mode(teacher, tconfig, model_config, qconfig, dconfig):
@@ -247,7 +242,6 @@ def train(
     model_config: ModelConfig | None = None,
     qconfig: QuantConfig | None = None,
     dconfig: DistillConfig | None = None,
-    policy: QuantPolicy | None = None,
     log_path: str | None = None,
 ) -> tuple[SeqModel, CheckpointMeta]:
     """Run one training job and return the best master model with its meta.
@@ -257,9 +251,6 @@ def train(
     returned model is the full-precision master snapshot of that epoch.
     """
     mode = tconfig.mode
-    if teacher is not None:
-        _freeze(teacher)
-
     if mode == "direct_quant":
         if teacher is None:
             raise TrainError("mode=direct_quant needs a trained teacher")
@@ -267,7 +258,7 @@ def train(
             raise TrainError("mode=direct_quant needs a quant config")
         master = teacher.copy()
         meta = CheckpointMeta(master.config, qconfig, None, tconfig)
-        report = evaluate(master, splits.dev, qconfig, policy)
+        report = evaluate(master, splits.dev, qconfig)
         meta.history.append({"epoch": 0, "step": 0, "lr": 0.0, **_zero_losses(), **_dev(report)})
         return master, meta
 
@@ -305,12 +296,12 @@ def train(
                 )
                 bd = distillation_aware_step(
                     master, teacher, batch, qconfig, lmap, optimizer, last_lr,
-                    policy, tconfig.grad_clip, task_only, rng,
+                    tconfig.grad_clip, task_only, rng,
                 )
                 step += 1
                 for k, v in bd.to_floats().items():
                     sums[k] += v
-            report = evaluate(master, splits.dev, eval_qconfig, policy)
+            report = evaluate(master, splits.dev, eval_qconfig)
             record = {
                 "epoch": epoch,
                 "step": step,

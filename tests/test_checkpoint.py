@@ -1,10 +1,18 @@
 """Round-trip and corruption tests for the binary checkpoint format."""
 
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqseq.checkpoint import (
     MAGIC,
+    TAG_FLOAT32,
+    TAG_QUANTIZED,
     CheckpointError,
     build_model,
     load_checkpoint,
@@ -13,7 +21,7 @@ from dqseq.checkpoint import (
 )
 from dqseq.distiller import DistillConfig
 from dqseq.model import ModelConfig, SeqModel, greedy_decode_batch, init_model, param_specs
-from dqseq.quantizer import QuantConfig, QuantizedTensor, QuantPolicy, quantize_params
+from dqseq.quantizer import QuantConfig, QuantizedTensor, quantize_params
 from dqseq.tensor import Tensor
 from dqseq.trainer import CheckpointMeta, TrainConfig
 
@@ -89,12 +97,12 @@ def test_quantized_round_trip_preserves_alpha_and_codes(tmp_path):
 
 def test_row_wise_alpha_shape_survives(tmp_path):
     model = init_model(SMALL, seed=7)
-    stored = quantize_params(
-        model.params, categories(SMALL), QuantConfig(4, 8, 8), QuantPolicy(row_wise=True)
-    )
+    qc = QuantConfig(4, 8, 8, row_wise=True)
+    stored = quantize_params(model.params, categories(SMALL), qc)
     path = str(tmp_path / "rw.ckpt")
-    save_checkpoint(path, stored, small_meta())
-    params, _ = load_checkpoint(path)
+    save_checkpoint(path, stored, small_meta(quant_config=qc))
+    params, meta = load_checkpoint(path)
+    assert meta.quant_config.row_wise is True
     saw_vector = False
     for name, value in stored.items():
         if isinstance(value, QuantizedTensor) and value.alpha.ndim == 1:
@@ -204,3 +212,132 @@ def test_load_model_reproduces_decodes(tmp_path):
     want = greedy_decode_batch(model, src, bos_id=1, eos_id=2, pad_id=0, max_len=8)
     got = greedy_decode_batch(back, src, bos_id=1, eos_id=2, pad_id=0, max_len=8)
     assert want == got
+
+
+# ---------------------------------------------------------------------------
+# malformed files: every one raises CheckpointError
+
+
+def write(path, blob: bytes) -> str:
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return str(path)
+
+
+def header(tmp_path) -> bytes:
+    """A valid file with no tensor records."""
+    path = str(tmp_path / "empty.ckpt")
+    save_checkpoint(path, {}, small_meta())
+    return open(path, "rb").read()
+
+
+def with_config(blob: bytes, edit) -> bytes:
+    n = int.from_bytes(blob[8:16], "little")
+    config = edit(blob[16 : 16 + n])
+    return blob[:8] + struct.pack("<Q", len(config)) + config + blob[16 + n :]
+
+
+def record(name: bytes, shape, body: bytes) -> bytes:
+    dims = b"".join(struct.pack("<Q", d) for d in shape)
+    return struct.pack("<Q", len(name)) + name + struct.pack("<Q", len(shape)) + dims + body
+
+
+def quantized_body(bits: int, alpha_rank: int, alphas, codes: bytes) -> bytes:
+    head = struct.pack("<BBBQ", TAG_QUANTIZED, bits, alpha_rank, len(alphas))
+    return head + np.asarray(alphas, "<f4").tobytes() + codes
+
+
+@pytest.mark.parametrize("shape, body, match", [
+    ((4,), quantized_body(3, 0, [0.5], b"\x00\x00"), "3-bit"),
+    ((4,), quantized_body(0, 0, [0.5], b"\x00"), "0-bit"),
+    ((4,), quantized_body(2, 0, [-0.5], b"\x00"), "nonnegative"),
+    ((2, 2), quantized_body(8, 2, [0.5, 0.5], b"\x00" * 4), "alpha rank 2"),
+    ((2, 2), quantized_body(8, 0, [0.5, 0.5], b"\x00" * 4), "alpha rank 0"),
+    ((4,), quantized_body(8, 1, [0.5] * 4, b"\x00" * 4), "alpha"),
+    ((2, 4), quantized_body(8, 1, [0.5] * 4, b"\x00" * 8), "alpha"),
+    # 2**32 * 2**32 wraps to 0 in int64; the exact count overruns the file
+    ((2**32, 2**32), struct.pack("<B", TAG_FLOAT32), "truncated"),
+])
+def test_malformed_record_is_rejected(tmp_path, shape, body, match):
+    path = write(tmp_path / "bad.ckpt", header(tmp_path) + record(b"w", shape, body))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_non_utf8_name_is_rejected(tmp_path):
+    body = struct.pack("<B", TAG_FLOAT32) + np.zeros(1, "<f4").tobytes()
+    path = write(tmp_path / "name.ckpt", header(tmp_path) + record(b"\xff\xfe", (1,), body))
+    with pytest.raises(CheckpointError, match="utf-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.replace(b"model_config={", b"model_config={{"),
+    lambda c: c.replace(b'"w_bits": 32', b'"w_bits": 3'),
+    lambda c: c.replace(b'"row_wise": false', b'"row_wise": 0'),
+    lambda c: c.replace(b'"mode": "teacher"', b'"mode": "nope"'),
+    lambda c: b"\xff" + c,
+])
+def test_malformed_config_block_is_rejected(tmp_path, edit):
+    blob = header(tmp_path)
+    bad = with_config(blob, edit)
+    assert bad != blob
+    with pytest.raises(CheckpointError, match="config block"):
+        load_checkpoint(write(tmp_path / "cfg.ckpt", bad))
+
+
+def test_config_block_without_row_wise_loads_per_tensor(tmp_path):
+    path = str(tmp_path / "old.ckpt")
+    model = init_model(SMALL, seed=4)
+    save_checkpoint(path, model, small_meta(quant_config=QuantConfig(2, 2, 8)))
+    blob = open(path, "rb").read()
+    old = with_config(blob, lambda c: c.replace(b', "row_wise": false', b""))
+    assert b"row_wise" not in old
+    back, meta = load_model(write(path, old))
+    assert meta.quant_config == QuantConfig(2, 2, 8)
+    assert meta.quant_config.row_wise is False
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(back.params[name].data, t.data)
+
+
+def test_build_model_rejects_wrong_shapes():
+    model = init_model(SMALL, seed=2)
+    params = dict(model.params)
+    params["embed.pos"] = Tensor(np.zeros((3, SMALL.d_model), np.float32))
+    with pytest.raises(CheckpointError, match="embed.pos"):
+        build_model(params, small_meta())
+
+
+FUZZ = ModelConfig(vocab_size=8, d_model=4, n_heads=2, d_ff=4,
+                   n_enc_layers=1, n_dec_layers=1, max_positions=4)
+
+
+def _fuzz_blob(row_wise: bool) -> bytes:
+    qc = QuantConfig(2, 4, 8, row_wise=row_wise)
+    stored = quantize_params(init_model(FUZZ, 0).params, categories(FUZZ), qc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ckpt")
+        save_checkpoint(path, stored, small_meta(model_config=FUZZ, quant_config=qc))
+        return open(path, "rb").read()
+
+
+FUZZ_BLOBS = {rw: _fuzz_blob(rw) for rw in (False, True)}
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.booleans(), st.booleans(), st.data())
+def test_corrupted_file_raises_checkpoint_error_or_loads_config_shapes(row_wise, cut, data):
+    blob = FUZZ_BLOBS[row_wise]
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if cut:
+        bad = blob[:at]
+    else:
+        bad = bytearray(blob)
+        bad[at] ^= data.draw(st.integers(1, 255), label="xor")
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            model, meta = load_model(write(os.path.join(tmp, "bad.ckpt"), bytes(bad)))
+        except CheckpointError:
+            return
+    for name, shape, _ in param_specs(meta.model_config):
+        assert model.params[name].shape == shape, name

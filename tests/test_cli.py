@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from dqseq.checkpoint import load_checkpoint, load_model
 from dqseq.cli import main
 from dqseq.harness import TABLE_COLUMNS, RunManifest
+from dqseq.tasks import TaskSpec, generate_task
+from dqseq.trainer import evaluate
 
 TASK = ["--task", "copy", "--vocab-size", "16", "--max-len", "6",
         "--train-size", "48", "--dev-size", "8", "--test-size", "8"]
@@ -94,6 +97,26 @@ def test_compress_writes_manifest_and_checkpoint(tmp_path, teacher_ckpt, capsys)
     assert manifest.result["config"] == "8-8-8 2-1"
     assert manifest.result["ratio"] > 1.0
     assert manifest.wall_clock > 0
+
+
+def test_compress_row_wise_is_stored_and_eval_honours_it(tmp_path, teacher_ckpt, capsys):
+    ckpt = str(tmp_path / "rw.ckpt")
+    mpath = str(tmp_path / "rw.json")
+    rc = main(["compress", *TASK, *FAST, "--teacher", teacher_ckpt, "--mode", "dq",
+               "--w-bits", "2", "--e-bits", "2", "--a-bits", "8", "--row-wise",
+               "--out", ckpt, "--manifest", mpath])
+    assert rc == 0
+    assert load_checkpoint(ckpt)[1].quant_config.row_wise is True
+    assert RunManifest.load(mpath).quant_config.row_wise is True
+    capsys.readouterr()
+
+    assert main(["eval", "--ckpt", ckpt, *TASK, "--split", "dev"]) == 0
+    printed = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+    model, meta = load_model(ckpt)
+    dev = generate_task(TaskSpec("copy", vocab_size=16, max_len=6, train_size=48,
+                                 dev_size=8, test_size=8)).dev
+    want = evaluate(model, dev, meta.quant_config).to_dict()
+    assert printed == {k: f"{v:.4f}" for k, v in want.items()}
 
 
 def test_compress_missing_teacher_fails(tmp_path, capsys):

@@ -60,6 +60,14 @@ def test_content_hash_tracks_inputs():
     assert a.content_hash() != b.content_hash()
 
 
+def test_content_hash_covers_row_wise():
+    per_tensor = student_manifest("t.ckpt", "dq", QuantConfig(2, 2, 8), DistillConfig(2, 1))
+    per_row = student_manifest("t.ckpt", "dq", QuantConfig(2, 2, 8, row_wise=True),
+                               DistillConfig(2, 1))
+    assert per_tensor.content_hash() != per_row.content_hash()
+    assert RunManifest.from_json(per_row.to_json()).quant_config.row_wise is True
+
+
 def test_manifest_json_round_trip():
     m = student_manifest("t.ckpt", "dq", QuantConfig(2, 2, 8), DistillConfig(2, 1))
     m.result = {"token_acc": 0.5, "config": "2-2-8 2-1"}

@@ -17,8 +17,17 @@ from dqseq.metrics import (
     rouge_n,
     rouge_scores,
 )
-from dqseq.model import ModelConfig, count_parameters
-from dqseq.quantizer import EMBEDDING, EXCLUDED, WEIGHT, PolicyError, QuantConfig, QuantPolicy
+from dqseq.model import ModelConfig, init_model, param_specs
+from dqseq.quantizer import (
+    EMBEDDING,
+    EXCLUDED,
+    WEIGHT,
+    PolicyError,
+    QuantConfig,
+    QuantizedTensor,
+    packed_size,
+    quantize_params,
+)
 
 from oracles import brute_force_lcs
 
@@ -133,7 +142,7 @@ def test_accuracy_batch_size_mismatch():
 
 def test_footprint_32_bit_is_exactly_4_bytes_per_param():
     rep = footprint(TOY, QuantConfig(32, 32, 32))
-    assert rep.total_bytes == 4 * count_parameters(TOY).total
+    assert rep.total_bytes == 4 * sum(t.data.size for t in init_model(TOY, 0).params.values())
     assert rep.ratio == 1.0
     assert rep.total_bytes == rep.weight_bytes + rep.embedding_bytes + rep.excluded_bytes
 
@@ -155,9 +164,24 @@ def test_footprint_hand_arithmetic():
 def test_footprint_row_wise_scale_accounting():
     specs = [("w", (3, 4), WEIGHT)]
     per_tensor = footprint(specs, QuantConfig(2, 32, 32))
-    per_row = footprint(specs, QuantConfig(2, 32, 32), policy=QuantPolicy(row_wise=True))
+    per_row = footprint(specs, QuantConfig(2, 32, 32, row_wise=True))
     assert per_tensor.weight_bytes == 3 + 4
     assert per_row.weight_bytes == 3 + 4 * 3
+
+
+@pytest.mark.parametrize("row_wise", [False, True])
+def test_footprint_equals_bytes_of_quantize_params(row_wise):
+    cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=12,
+                      n_enc_layers=1, n_dec_layers=1, max_positions=6)
+    model = init_model(cfg, 0)
+    categories = {name: cat for name, _, cat in param_specs(cfg)}
+    for w in (2, 4, 8, 32):
+        for e in (2, 4, 8, 32):
+            qc = QuantConfig(w, e, 8, row_wise=row_wise)
+            stored = quantize_params(model.params, categories, qc)
+            nbytes = sum(packed_size(v) if isinstance(v, QuantizedTensor) else 4 * v.data.size
+                         for v in stored.values())
+            assert nbytes == footprint(cfg, qc).total_bytes, qc
 
 
 def test_footprint_activation_bits_cost_nothing():

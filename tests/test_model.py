@@ -8,13 +8,12 @@ from dqseq.model import (
     ConfigError,
     ModelConfig,
     SeqModel,
-    count_parameters,
     forward,
-    greedy_decode,
     greedy_decode_batch,
     init_model,
     param_specs,
 )
+from dqseq.metrics import footprint
 from dqseq.quantizer import QuantConfig, quantize_model
 from dqseq.tensor import ShapeError, Tape, backward, sum_all
 
@@ -236,13 +235,13 @@ def test_greedy_ties_pick_lowest_id():
     m = toy_model()
     for t in m.params.values():  # all-zero net scores every token equally
         t.data = np.zeros_like(t.data)
-    out = greedy_decode(m, [4, 5], bos_id=1, eos_id=2, max_len=3)
-    assert out == [0, 0, 0]
+    out = greedy_decode_batch(m, [[4, 5]], bos_id=1, eos_id=2, max_len=3, pad_id=PAD)
+    assert out == [[0, 0, 0]]
 
 
 def test_greedy_zero_max_len():
     m = toy_model()
-    assert greedy_decode(m, [4, 5], 1, 2, 0) == []
+    assert greedy_decode_batch(m, [[4, 5]], 1, 2, 0, PAD) == [[]]
 
 
 def test_greedy_stops_at_eos():
@@ -252,20 +251,20 @@ def test_greedy_stops_at_eos():
     # decoder output is exactly final_ln.bias; align only eos with it
     m.params["dec.final_ln.bias"].data[:] = 1.0
     m.params["embed.tok"].data[2] = 1.0
-    out = greedy_decode(m, [4, 5, 6], 1, 2, 8)
-    assert out == []
+    out = greedy_decode_batch(m, [[4, 5, 6]], 1, 2, 8, PAD)
+    assert out == [[]]
 
 
 def test_greedy_batch_matches_single():
     m = toy_model(3)
     seqs = [[4, 5, 6], [7, 8], [9, 10, 11, 12]]
-    singles = [greedy_decode(m, s, 1, 2, 6) for s in seqs]
+    singles = [greedy_decode_batch(m, [s], 1, 2, 6, PAD)[0] for s in seqs]
     batch = greedy_decode_batch(m, seqs, 1, 2, 6, PAD)
     assert batch == singles
 
 
 # ---------------------------------------------------------------------------
-# parameter counting
+# parameter counting: footprint at 32 bits is 4 bytes per parameter
 
 
 def test_count_parameters_matches_hand_formula():
@@ -276,17 +275,16 @@ def test_count_parameters_matches_hand_formula():
     dec_w = 8 * d * d + d * f + f * d
     enc_x = 4 * d + (f + d) + 2 * (2 * d)
     dec_x = 8 * d + (f + d) + 3 * (2 * d)
-    counts = count_parameters(cfg)
-    assert counts.weights == 2 * enc_w + 2 * dec_w
-    assert counts.embeddings == v * d
-    assert counts.excluded == p * d + 2 * enc_x + 2 * dec_x + 2 * (2 * d)
-    assert counts.total == counts.weights + counts.embeddings + counts.excluded
-    assert counts.total == sum(t.data.size for t in init_model(cfg, 0).params.values())
+    fp = footprint(cfg, QuantConfig())
+    assert fp.weight_bytes == 4 * (2 * enc_w + 2 * dec_w)
+    assert fp.embedding_bytes == 4 * v * d
+    assert fp.excluded_bytes == 4 * (p * d + 2 * enc_x + 2 * dec_x + 2 * (2 * d))
+    assert fp.total_bytes == 4 * sum(t.data.size for t in init_model(cfg, 0).params.values())
 
 
 def test_count_parameters_at_bart_base_dims():
     cfg = ModelConfig(vocab_size=50265, d_model=768, n_heads=12, d_ff=3072,
                       n_enc_layers=6, n_dec_layers=6, max_positions=1026)
-    total = count_parameters(cfg).total
+    total = footprint(cfg, QuantConfig()).total_bytes / 4
     reference = 531 * 2**20 / 4  # 531 MiB of float32
     assert abs(total - reference) / reference < 0.05

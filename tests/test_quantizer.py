@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from dqseq.quantizer import (
     QuantConfig,
     QuantizedTensor,
-    QuantPolicy,
     PolicyError,
-    dequantize,
     linear_quantize,
     pack_codes,
     packed_size,
@@ -48,7 +46,7 @@ def test_linear_quantize_all_zero():
     q = linear_quantize(np.zeros(5, np.float32), 8)
     assert q.alpha == 0.0
     assert not q.codes.any()
-    assert np.all(np.isfinite(dequantize(q).data))
+    assert np.all(np.isfinite(q.values()))
 
 
 def test_linear_quantize_rejects_two_bits():
@@ -77,6 +75,15 @@ def test_quantized_tensor_validation():
         QuantizedTensor(np.float32(-0.5), np.zeros(2, np.int8), 8, (2,))
     with pytest.raises(ValueError, match="shape"):
         QuantizedTensor(np.float32(0.5), np.zeros(3, np.int8), 8, (2,))
+    # per-row scales need a 2-D tensor with one scale per row
+    QuantizedTensor(np.ones(2, np.float32), np.zeros((2, 3), np.int8), 8, (2, 3))
+    for alpha, shape in (
+        (np.ones(3, np.float32), (3,)),          # a 1-D tensor has no rows
+        (np.ones(3, np.float32), (2, 3)),        # count is not shape[0]
+        (np.ones((2, 1), np.float32), (2, 3)),   # rank above 1
+    ):
+        with pytest.raises(ValueError, match="alpha"):
+            QuantizedTensor(alpha, np.zeros(shape, np.int8), 8, shape)
 
 
 def test_quant_config_validation():
@@ -85,19 +92,24 @@ def test_quant_config_validation():
         QuantConfig(w_bits=3)
     with pytest.raises(ValueError, match="a_bits"):
         QuantConfig(a_bits=2)
+    with pytest.raises(ValueError, match="row_wise"):
+        QuantConfig(row_wise=1)
     assert QuantConfig(8, 8, 8).label == "8-8-8"
     assert QuantConfig().any_quantized() is False
     assert QuantConfig(a_bits=8).any_quantized() is True
 
 
 def test_policy_bits():
-    pol = QuantPolicy()
     q = QuantConfig(2, 8, 8)
-    assert pol.bits_for("weight", q) == 2
-    assert pol.bits_for("embedding", q) == 8
-    assert pol.bits_for("excluded", q) == 32
+    assert q.bits_for("weight") == 2
+    assert q.bits_for("embedding") == 8
+    assert q.bits_for("excluded") == 32
     with pytest.raises(PolicyError):
-        pol.bits_for("mystery", q)
+        q.bits_for("mystery")
+    assert not q.row_wise_for((4, 4))
+    rw = QuantConfig(2, 8, 8, row_wise=True)
+    assert rw.row_wise_for((4, 4))
+    assert not rw.row_wise_for((4,))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +151,7 @@ def test_twn_threshold_set_identity_and_scale_optimality(w):
 @given(finite_vectors, st.sampled_from([4, 8]))
 def test_linear_reconstruction_error_bound(w, n_bits):
     q = linear_quantize(w, n_bits)
-    err = np.abs(w - dequantize(q).data)
+    err = np.abs(w - q.values())
     assert np.all(err <= float(q.alpha) / 2 + 1e-7)
 
 

@@ -17,7 +17,6 @@ from dqseq.tensor import (
     backward,
     cross_entropy,
     dropout,
-    elementwise,
     embedding_gather,
     gelu,
     layer_norm,
@@ -166,15 +165,6 @@ def test_backward_of_sum_is_ones():
     with Tape():
         backward(sum_all(w))
     assert np.array_equal(w.grad, np.ones((2, 3), np.float32))
-
-
-def test_elementwise_dispatch():
-    a = Tensor([1.0, -2.0])
-    assert np.array_equal(elementwise("relu", a).data, [1.0, 0.0])
-    assert np.array_equal(elementwise("add", a, a).data, [2.0, -4.0])
-    assert np.array_equal(elementwise("scale", a, 2.0).data, [2.0, -4.0])
-    with pytest.raises(ValueError, match="unknown"):
-        elementwise("pow", a, a)
 
 
 def test_add_shape_error_names_shapes():

@@ -283,6 +283,16 @@ def test_dq_training_keeps_teacher_frozen():
     assert meta.history[0]["dist"] > 0.0
 
 
+def test_train_leaves_teacher_flags_untouched():
+    splits = small_splits()
+    teacher = init_model(SMALL, seed=0)
+    train(teacher, TrainConfig(mode="dq", epochs=1, seed=1), splits,
+          qconfig=QuantConfig(8, 8, 8), dconfig=DistillConfig(1, 1))
+    for name, t in teacher.params.items():
+        assert t.requires_grad, name
+        assert t.grad is None, name
+
+
 def test_sf_mode_records_zero_distillation():
     splits = small_splits()
     teacher = init_model(SMALL, seed=0)
