@@ -195,20 +195,40 @@ def quantize(w, n_bits: int, row_wise: bool = False) -> QuantizedTensor:
 
 
 def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
-    """8-bit symmetric fake-quantization of an activation tensor.
+    """8-bit symmetric fake-quantization of an activation tensor, one scale per token.
 
-    The scale is dynamic per tensor; 32 bits is the identity. Gradients
-    pass straight through.
+    Each row of the last dimension (one position's features) gets its own
+    dynamic scale alpha = max|row| / 127; codes round half away from zero
+    and clamp to [-127, 127]. A row whose scale is 0 (all zeros, or so small
+    the scale underflows) passes through unchanged. Because no scale spans
+    two rows, a sequence's values never depend on the other sequences or
+    the padding in its batch. 32 bits is the identity. Gradients pass
+    straight through.
     """
     if a_bits == 32:
         return x
     if a_bits != 8:
         raise ValueError(f"a_bits must be one of {ALLOWED_ACTIVATION_BITS}, got {a_bits}")
-    m = np.float32(np.abs(x.data).max()) if x.size else np.float32(0.0)
-    alpha = np.float32(m / np.float32(127))
-    if alpha == 0.0:
+    if x.size == 0:
         return x
-    vals = alpha * np.clip(_round_half_away(x.data / alpha), -127, 127).astype(np.float32)
+    data = x.data
+    alpha = np.abs(data).max(axis=-1, keepdims=True)
+    alpha /= np.float32(127)
+    zero = alpha == 0.0
+    any_zero = bool(zero.any())
+    if any_zero:
+        alpha[zero] = 1.0
+    # round half away from zero, clamp and rescale, in place on the output buffer
+    vals = data / alpha
+    sign = np.sign(vals)
+    np.abs(vals, out=vals)
+    vals += np.float32(0.5)
+    np.floor(vals, out=vals)
+    vals *= sign
+    np.clip(vals, -127, 127, out=vals)
+    vals *= alpha
+    if any_zero:
+        np.copyto(vals, data, where=zero)
     return straight_through(x, vals)
 
 

@@ -34,7 +34,7 @@ def set_nan_checks(enabled: bool) -> None:
 class Tensor:
     """An n-dimensional float32 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node_index")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node_index", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float32)

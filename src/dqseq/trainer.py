@@ -169,6 +169,12 @@ def distillation_aware_step(
     backward(bd.total)
     scale = clip_scale(global_grad_norm(master.params), grad_clip)
     optimizer.update(master.params, lr, scale)
+    # Each output tensor refers back to its tape and the tape's nodes to the
+    # outputs; emptying the tape breaks that cycle, so the step's activations
+    # are freed now rather than at some later GC pass. Freeing them after the
+    # update, with the optimizer's new state allocated above them, keeps
+    # glibc from trimming the heap and faulting the pages in again next step.
+    tape.nodes.clear()
     return bd
 
 

@@ -97,6 +97,18 @@ def ref_linear_quantize(w, n_bits):
     return alpha, codes
 
 
+def ref_quantize_activation(x):
+    """Per-token 8-bit activation codes, in float64: alpha = max|row| / 127
+    over the last dimension; codes = clamp(round_half_away(x / alpha), ±127).
+    Returns (alpha [..., 1], integer codes); a row with alpha 0 gets zero codes."""
+    x = np.asarray(x, dtype=np.float64)
+    alpha = np.abs(x).max(axis=-1, keepdims=True) / 127.0
+    scaled = x / np.where(alpha > 0, alpha, 1.0)
+    codes = np.clip(np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), -127, 127)
+    codes[np.broadcast_to(alpha == 0, x.shape)] = 0
+    return alpha, codes.astype(np.int64)
+
+
 def ref_twn_quantize(w):
     """delta = 0.7 * ||w||_1 / dim(w); codes threshold at delta;
     alpha = ||w * codes||_1 / ||codes||_1."""
@@ -249,3 +261,41 @@ def fd_param_grad(f, w, idx, h=1e-5):
     fm = f()
     w.flat[idx] = orig
     return (fp - fm) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# greedy decoding by full recompute
+
+
+def ref_greedy_full(forward_fn, src_seqs, bos_id, eos_id, steps, pad_id):
+    """Greedy decoding that reruns the whole model at every step.
+
+    forward_fn(src, tgt) maps [B, Ls] and [B, t] id arrays to logits
+    [B, t, V]; each step takes the argmax of the last position (the lowest
+    id on ties) and feeds it back, for at most `steps` steps or until every
+    row has emitted eos_id. Returns (token lists without eos, the
+    last-position logits of every step).
+    """
+    n = len(src_seqs)
+    src = np.full((n, max(len(s) for s in src_seqs)), pad_id, np.int64)
+    for r, s in enumerate(src_seqs):
+        src[r, : len(s)] = s
+    tgt = np.full((n, 1), bos_id, np.int64)
+    outs = [[] for _ in range(n)]
+    done = np.zeros(n, bool)
+    step_logits = []
+    for _ in range(steps):
+        last = np.asarray(forward_fn(src, tgt))[:, -1, :]
+        step_logits.append(last)
+        nxt = last.argmax(axis=1)
+        for r in range(n):
+            if done[r]:
+                continue
+            if nxt[r] == eos_id:
+                done[r] = True
+            else:
+                outs[r].append(int(nxt[r]))
+        if done.all():
+            break
+        tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
+    return outs, step_logits

@@ -459,6 +459,7 @@ def _median(records, key: str) -> float:
     return statistics.median(r[key] for r in records)
 
 
+@pytest.mark.slow
 def test_toy_compression_ladder_orderings(ladder):
     for secs, rec in zip(ladder["teacher_secs"], ladder["teacher"]):
         assert secs < 600.0
@@ -478,6 +479,7 @@ def test_toy_compression_ladder_orderings(ladder):
           f">= 2-2-8 {q2:.4f} >= direct {dr:.4f} ({ladder['ladder_secs']:.0f} s)")
 
 
+@pytest.mark.slow
 def test_joint_training_beats_distill_only_at_no_larger_footprint(ladder):
     shrunk = ModelConfig(16, 64, 4, 256, 2, 1, max_positions=16)
     halved = ModelConfig(16, 64, 4, 256, 1, 1, max_positions=16)

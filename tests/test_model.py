@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from dqseq import model
 from dqseq.model import (
     MASK_VALUE,
     ConfigError,
+    DecodeState,
     ModelConfig,
     SeqModel,
+    decode_step,
+    encode,
     forward,
     greedy_decode_batch,
     init_model,
@@ -15,7 +19,10 @@ from dqseq.model import (
 )
 from dqseq.metrics import footprint
 from dqseq.quantizer import QuantConfig, quantize_model
+from dqseq.tasks import BOS, EOS
 from dqseq.tensor import ShapeError, Tape, backward, sum_all
+
+import oracles
 
 PAD = 0
 
@@ -255,12 +262,61 @@ def test_greedy_stops_at_eos():
     assert out == [[]]
 
 
-def test_greedy_batch_matches_single():
-    m = toy_model(3)
-    seqs = [[4, 5, 6], [7, 8], [9, 10, 11, 12]]
-    singles = [greedy_decode_batch(m, [s], 1, 2, 6, PAD)[0] for s in seqs]
-    batch = greedy_decode_batch(m, seqs, 1, 2, 6, PAD)
-    assert batch == singles
+def test_greedy_batch_matches_single(briefly_trained):
+    # per-token activation scales keep 8-bit decodes independent of the batch
+    teacher, dev = briefly_trained
+    srcs = [s for s, _ in dev.pairs]
+    cap = teacher.config.max_positions - 1
+    for q in (QuantConfig(), QuantConfig(8, 8, 8), QuantConfig(2, 2, 8)):
+        view = quantize_model(teacher, q)
+        singles = [greedy_decode_batch(view, [s], BOS, EOS, cap, PAD, a_bits=q.a_bits)[0]
+                   for s in srcs]
+        assert greedy_decode_batch(view, srcs, BOS, EOS, cap, PAD, a_bits=q.a_bits) == singles, q
+
+
+# Largest last-position logit gap allowed between cached and recomputed
+# decoding. At 32 bits the two differ only by float rounding (a 1-row and an
+# L-row matmul sum in different orders; 1.4e-6 was measured here). At 8 bits
+# such a difference can flip an activation code by one step, which moved
+# logits by up to 6e-3 on this dev set; tokens must still agree exactly.
+LOGIT_TOL = {32: 1e-5, 8: 1e-2}
+
+
+@pytest.mark.parametrize("q", [
+    QuantConfig(), QuantConfig(8, 8, 8), QuantConfig(4, 4, 8), QuantConfig(2, 2, 8),
+    QuantConfig(2, 2, 8, row_wise=True),
+], ids=lambda q: q.label + ("-rows" if q.row_wise else ""))
+def test_incremental_decode_matches_full_recompute(briefly_trained, q, monkeypatch):
+    teacher, dev = briefly_trained
+    view = quantize_model(teacher, q)
+    srcs = [s for s, _ in dev.pairs]
+    cap = view.config.max_positions - 1
+    want, want_logits = oracles.ref_greedy_full(
+        lambda src, tgt: forward(view, src, tgt, PAD, a_bits=q.a_bits).logits.data,
+        srcs, BOS, EOS, cap, PAD,
+    )
+    got_logits = []
+    step = model.decode_step
+
+    def recording_step(*args, **kwargs):
+        trace = step(*args, **kwargs)
+        got_logits.append(trace.logits.data[:, -1, :])
+        return trace
+
+    monkeypatch.setattr(model, "decode_step", recording_step)
+    assert greedy_decode_batch(view, srcs, BOS, EOS, cap, PAD, a_bits=q.a_bits) == want
+    assert len(got_logits) == len(want_logits)
+    gap = max(float(np.abs(g - w).max()) for g, w in zip(got_logits, want_logits))
+    assert gap <= LOGIT_TOL[q.a_bits], gap
+
+
+def test_decode_step_rejects_positions_past_max():
+    m = toy_model()
+    state = DecodeState(encode(m, [[4, 5]], PAD))
+    for _ in range(TOY.max_positions):
+        decode_step(m, state, [BOS], PAD)
+    with pytest.raises(ShapeError, match="max_positions"):
+        decode_step(m, state, [BOS], PAD)
 
 
 # ---------------------------------------------------------------------------

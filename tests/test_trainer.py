@@ -1,10 +1,13 @@
 """Trainer: schedule, optimizer, step semantics, mode guards, smoke runs."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from dqseq import trainer
 from dqseq.distiller import DistillConfig, LayerMap
 from dqseq.model import ModelConfig, forward, init_model
 from dqseq.quantizer import QuantConfig, linear_quantize
@@ -175,6 +178,29 @@ def test_step_aborts_on_nonfinite_loss():
             )
 
 
+def test_step_frees_its_activations_without_gc(monkeypatch):
+    # the tape is emptied after backward, so nothing waits for the cyclic GC
+    teacher, master, batch, qc = step_setup(qbits=(2, 2, 8))
+    logits = []
+    real_forward = trainer.forward
+
+    def recording_forward(*args, **kwargs):
+        trace = real_forward(*args, **kwargs)
+        logits.append(weakref.ref(trace.logits))
+        return trace
+
+    monkeypatch.setattr(trainer, "forward", recording_forward)
+    opt = Adam(master.params)
+    gc.disable()
+    try:
+        bd = distillation_aware_step(master, teacher, batch, qc, LayerMap((0,), (0,)), opt, 1e-3)
+        del bd
+        assert len(logits) == 2  # student and teacher
+        assert all(ref() is None for ref in logits)
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -195,6 +221,12 @@ def test_evaluate_all32_view_matches_plain():
     assert plain == viewed
     assert 0.0 <= plain.token_acc <= 1.0
     assert plain.n_examples == len(dev)
+
+
+def test_evaluate_is_independent_of_batch_size(briefly_trained):
+    teacher, dev = briefly_trained
+    q = QuantConfig(2, 2, 8)
+    assert evaluate(teacher, dev, q, batch_size=1) == evaluate(teacher, dev, q, batch_size=32)
 
 
 # ---------------------------------------------------------------------------
