@@ -21,7 +21,9 @@ import numpy as np
 
 from .distiller import DistillConfig
 from .model import ModelConfig, SeqModel, param_specs
-from .quantizer import PACKED_BITS, QuantConfig, QuantizedTensor, pack_codes, unpack_codes
+from .quantizer import (
+    PACKED_BITS, QuantConfig, QuantizedTensor, pack_codes, packed_size, unpack_codes,
+)
 from .tensor import Tensor
 from .trainer import CheckpointMeta, TrainConfig, TrainError
 
@@ -171,9 +173,10 @@ def _read_payload(r: _Reader, name: str, shape: tuple[int, ...]):
         raise CheckpointError(
             f"tensor {name!r} has alpha rank {alpha_rank} with {n_scales} scales"
         )
-    alpha = np.frombuffer(r.take(4 * n_scales), dtype="<f4")
+    payload = r.take(packed_size(count, bits, n_scales))
+    alpha = np.frombuffer(payload, dtype="<f4", count=n_scales)
+    codes = unpack_codes(payload[alpha.nbytes:], bits, count)
     alpha = alpha[0] if alpha_rank == 0 else alpha.copy()
-    codes = unpack_codes(r.take(-(-count * bits // 8)), bits, count)
     return QuantizedTensor(alpha, codes.reshape(shape), bits, shape)
 
 

@@ -140,7 +140,7 @@ def _cmd_eval(args) -> int:
     qconfig = _qconfig(args)
     if not qconfig.any_quantized():
         qconfig = meta.quant_config
-    report = evaluate(model, dataset, qconfig if qconfig.any_quantized() else None)
+    report = evaluate(model, dataset, qconfig)
     print(f"{args.ckpt} on {spec.kind}/{args.split} ({report.n_examples} examples), "
           f"weights {qconfig.label}")
     _print_row(report.to_dict())

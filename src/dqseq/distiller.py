@@ -9,7 +9,7 @@ excluded from the means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -104,21 +104,7 @@ class LossBreakdown:
     total: Tensor
 
     def to_floats(self) -> dict[str, float]:
-        return {
-            "task": self.task.item(),
-            "logits": self.logits.item(),
-            "enc_attn": self.enc_attn.item(),
-            "dec_attn": self.dec_attn.item(),
-            "cross_attn": self.cross_attn.item(),
-            "enc_hidden": self.enc_hidden.item(),
-            "dec_hidden": self.dec_hidden.item(),
-            "dist": self.dist.item(),
-            "total": self.total.item(),
-        }
-
-
-def _expand(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return np.broadcast_to(mask, shape)
+        return {f.name: getattr(self, f.name).item() for f in fields(self)}
 
 
 def _layer_sum(terms: list[Tensor]) -> Tensor:
@@ -128,68 +114,11 @@ def _layer_sum(terms: list[Tensor]) -> Tensor:
     return acc
 
 
-def _attn_masks(student: ForwardTrace):
-    """Validity masks for the three attention score families."""
-    sv, tv = student.src_valid, student.tgt_valid
-    lt = tv.shape[1]
-    causal = np.tril(np.ones((lt, lt), dtype=bool))
-    ea = sv[:, None, :, None] & sv[:, None, None, :]
-    da = tv[:, None, :, None] & tv[:, None, None, :] & causal[None, None]
-    ca = tv[:, None, :, None] & sv[:, None, None, :]
-    return ea, da, ca
-
-
-def logits_loss(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
-    """MSE between logits over the full vocabulary at non-pad target positions."""
-    mask = _expand(student.tgt_valid[:, :, None], student.logits.shape)
-    return mse(student.logits, teacher.logits, mask=mask)
-
-
-def attention_loss(
-    student: ForwardTrace, teacher: ForwardTrace, layer_map: LayerMap
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-family sums over student layers of masked score MSE."""
-    ea_mask, da_mask, ca_mask = _attn_masks(student)
-    enc = _layer_sum(
-        [
-            mse(s, teacher.enc_attn[m], mask=_expand(ea_mask, s.shape))
-            for s, m in zip(student.enc_attn, layer_map.enc)
-        ]
+def _masked_mse(students: list[Tensor], teachers: list[Tensor], mask: np.ndarray) -> Tensor:
+    """Sum over layers of the MSE at the positions the mask marks valid."""
+    return _layer_sum(
+        [mse(s, t, mask=np.broadcast_to(mask, s.shape)) for s, t in zip(students, teachers)]
     )
-    dec = _layer_sum(
-        [
-            mse(s, teacher.dec_attn[m], mask=_expand(da_mask, s.shape))
-            for s, m in zip(student.dec_attn, layer_map.dec)
-        ]
-    )
-    cross = _layer_sum(
-        [
-            mse(s, teacher.cross_attn[m], mask=_expand(ca_mask, s.shape))
-            for s, m in zip(student.cross_attn, layer_map.dec)
-        ]
-    )
-    return enc, dec, cross
-
-
-def hidden_loss(
-    student: ForwardTrace, teacher: ForwardTrace, layer_map: LayerMap
-) -> tuple[Tensor, Tensor]:
-    """Per-stack sums over student layers of hidden-state MSE at real positions."""
-    enc_mask = student.src_valid[:, :, None]
-    dec_mask = student.tgt_valid[:, :, None]
-    enc = _layer_sum(
-        [
-            mse(s, teacher.enc_hidden[m], mask=_expand(enc_mask, s.shape))
-            for s, m in zip(student.enc_hidden, layer_map.enc)
-        ]
-    )
-    dec = _layer_sum(
-        [
-            mse(s, teacher.dec_hidden[m], mask=_expand(dec_mask, s.shape))
-            for s, m in zip(student.dec_hidden, layer_map.dec)
-        ]
-    )
-    return enc, dec
 
 
 def task_loss(student: ForwardTrace, labels: np.ndarray, pad_id: int) -> Tensor:
@@ -208,19 +137,37 @@ def total_loss(
 ) -> LossBreakdown:
     """Task loss plus, when a teacher is given, the full distillation stack.
 
-    Without a teacher every distillation component is a zero constant and
-    total reduces to the task loss.
+    The logits and every mapped student layer's attention scores and hidden
+    states are matched to the teacher's by masked MSE. Without a teacher
+    every distillation component is a zero constant and total reduces to
+    the task loss.
     """
     task = task_loss(student, labels, pad_id)
     if teacher is None:
         zero = Tensor(np.float32(0.0))
-        dist = zero
-        return LossBreakdown(task, zero, zero, zero, zero, zero, zero, dist, add(task, dist))
+        return LossBreakdown(task, *[zero] * 7, add(task, zero))
     if layer_map is None:
         raise ValueError("distillation against a teacher needs a layer map")
-    lg = logits_loss(student, teacher)
-    ea, da, ca = attention_loss(student, teacher, layer_map)
-    eh, dh = hidden_loss(student, teacher, layer_map)
+    sv, tv = student.src_valid, student.tgt_valid
+    causal = np.tril(np.ones((tv.shape[1], tv.shape[1]), dtype=bool))
+    masks = {  # trace field -> validity mask, broadcastable to its tensors
+        "logits": tv[:, :, None],
+        "enc_attn": sv[:, None, :, None] & sv[:, None, None, :],
+        "dec_attn": tv[:, None, :, None] & tv[:, None, None, :] & causal,
+        "cross_attn": tv[:, None, :, None] & sv[:, None, None, :],
+        "enc_hidden": sv[:, :, None],
+        "dec_hidden": tv[:, :, None],
+    }
+    lg = _masked_mse([student.logits], [teacher.logits], masks["logits"])
+    ea, da, ca, eh, dh = (
+        _masked_mse(getattr(student, name), [getattr(teacher, name)[m] for m in stack],
+                    masks[name])
+        for name, stack in (
+            ("enc_attn", layer_map.enc), ("dec_attn", layer_map.dec),
+            ("cross_attn", layer_map.dec), ("enc_hidden", layer_map.enc),
+            ("dec_hidden", layer_map.dec),
+        )
+    )
     dist = add(add(lg, _layer_sum([ea, da, ca])), _layer_sum([eh, dh]))
     total = add(task, dist)
     return LossBreakdown(task, lg, ea, da, ca, eh, dh, dist, total)

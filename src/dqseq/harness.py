@@ -150,8 +150,7 @@ def run_experiment(manifest: RunManifest, log_path: str | None = None) -> dict:
     except (TaskError, TrainError) as exc:
         raise HarnessError(f"manifest {tag}: {exc}") from exc
 
-    eval_qconfig = meta.quant_config if meta.quant_config.any_quantized() else None
-    report = evaluate(model, splits.test, eval_qconfig)
+    report = evaluate(model, splits.test, meta.quant_config)
     fp = footprint(model, meta.quant_config, baseline=baseline)
     shape = f"{model.config.n_enc_layers}-{model.config.n_dec_layers}"
     manifest.result = {

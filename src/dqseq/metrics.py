@@ -7,10 +7,9 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import ModelConfig, SeqModel, param_specs
-from .quantizer import EMBEDDING, EXCLUDED, WEIGHT, QuantConfig
+from .model import ModelConfig, SeqModel, _layer_specs, _ln_specs, param_specs
+from .quantizer import EMBEDDING, EXCLUDED, WEIGHT, QuantConfig, packed_size
 
-BYTES_PER_SCALE = 4  # scales stored as float32
 MIB = 1024 * 1024
 
 
@@ -138,8 +137,7 @@ def _tensor_bytes(shape: tuple[int, ...], category: str, qconfig: QuantConfig) -
     bits = qconfig.bits_for(category)
     if bits == 32:
         return 4 * count
-    scales = shape[0] if qconfig.row_wise_for(shape) else 1
-    return math.ceil(count * bits / 8) + BYTES_PER_SCALE * scales
+    return packed_size(count, bits, shape[0] if qconfig.row_wise_for(shape) else 1)
 
 
 def footprint(target, qconfig: QuantConfig, baseline=None) -> FootprintReport:
@@ -174,33 +172,14 @@ def bart_base_param_specs(
     word embeddings counted once, no final layer norm on either stack.
     """
     v, d, f, p = 50265, 768, 3072, 1026
-    specs: list[tuple[str, tuple[int, ...], str]] = [
+    specs = [
         ("embed.tok", (v, d), EMBEDDING),
         ("embed.enc_pos", (p, d), EXCLUDED),
         ("embed.dec_pos", (p, d), EXCLUDED),
+        *_ln_specs("embed.enc_ln", d),
+        *_ln_specs("embed.dec_ln", d),
     ]
-
-    def ln(prefix):
-        return [(f"{prefix}.gain", (d,), EXCLUDED), (f"{prefix}.bias", (d,), EXCLUDED)]
-
-    def attn(prefix):
-        out = [(f"{prefix}.{w}", (d, d), WEIGHT) for w in ("wq", "wk", "wv", "wo")]
-        out += [(f"{prefix}.{b}", (d,), EXCLUDED) for b in ("bq", "bk", "bv", "bo")]
-        return out
-
-    def ffn(prefix):
-        return [
-            (f"{prefix}.w1", (d, f), WEIGHT),
-            (f"{prefix}.b1", (f,), EXCLUDED),
-            (f"{prefix}.w2", (f, d), WEIGHT),
-            (f"{prefix}.b2", (d,), EXCLUDED),
-        ]
-
-    specs += ln("embed.enc_ln") + ln("embed.dec_ln")
-    for i in range(enc_layers):
-        specs += ln(f"enc.{i}.ln1") + attn(f"enc.{i}.attn") + ln(f"enc.{i}.ln2")
-        specs += ffn(f"enc.{i}.ffn")
-    for i in range(dec_layers):
-        specs += ln(f"dec.{i}.ln1") + attn(f"dec.{i}.attn") + ln(f"dec.{i}.ln2")
-        specs += attn(f"dec.{i}.cross") + ln(f"dec.{i}.ln3") + ffn(f"dec.{i}.ffn")
+    for stack, n in (("enc", enc_layers), ("dec", dec_layers)):
+        for i in range(n):
+            specs.extend(_layer_specs(stack, i, d, f))
     return specs

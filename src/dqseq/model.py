@@ -95,6 +95,18 @@ def _ffn_specs(prefix: str, d: int, f: int):
     yield f"{prefix}.b2", (d,), EXCLUDED
 
 
+def _layer_specs(stack: str, i: int, d: int, f: int):
+    """Layer i of the "enc" or "dec" stack; decoder layers add cross-attention."""
+    p = f"{stack}.{i}"
+    yield from _ln_specs(f"{p}.ln1", d)
+    yield from _attn_specs(f"{p}.attn", d)
+    yield from _ln_specs(f"{p}.ln2", d)
+    if stack == "dec":
+        yield from _attn_specs(f"{p}.cross", d)
+        yield from _ln_specs(f"{p}.ln3", d)
+    yield from _ffn_specs(f"{p}.ffn", d, f)
+
+
 def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, category) for every parameter, in canonical order."""
     d, f = config.d_model, config.d_ff
@@ -102,20 +114,10 @@ def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ("embed.tok", (config.vocab_size, d), EMBEDDING),
         ("embed.pos", (config.max_positions, d), EXCLUDED),
     ]
-    for i in range(config.n_enc_layers):
-        specs.extend(_ln_specs(f"enc.{i}.ln1", d))
-        specs.extend(_attn_specs(f"enc.{i}.attn", d))
-        specs.extend(_ln_specs(f"enc.{i}.ln2", d))
-        specs.extend(_ffn_specs(f"enc.{i}.ffn", d, f))
-    specs.extend(_ln_specs("enc.final_ln", d))
-    for i in range(config.n_dec_layers):
-        specs.extend(_ln_specs(f"dec.{i}.ln1", d))
-        specs.extend(_attn_specs(f"dec.{i}.attn", d))
-        specs.extend(_ln_specs(f"dec.{i}.ln2", d))
-        specs.extend(_attn_specs(f"dec.{i}.cross", d))
-        specs.extend(_ln_specs(f"dec.{i}.ln3", d))
-        specs.extend(_ffn_specs(f"dec.{i}.ffn", d, f))
-    specs.extend(_ln_specs("dec.final_ln", d))
+    for stack, n in (("enc", config.n_enc_layers), ("dec", config.n_dec_layers)):
+        for i in range(n):
+            specs.extend(_layer_specs(stack, i, d, f))
+        specs.extend(_ln_specs(f"{stack}.final_ln", d))
     return specs
 
 

@@ -7,7 +7,6 @@ gradients pass straight through to the full-precision master tensors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,6 +306,6 @@ def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
     return vals.astype(np.int8)
 
 
-def packed_size(q: QuantizedTensor) -> int:
-    """Serialized byte count: packed codes plus 4 bytes per stored scale."""
-    return math.ceil(q.codes.size * q.bits / 8) + 4 * q.n_scales
+def packed_size(count: int, bits: int, n_scales: int) -> int:
+    """Serialized bytes of count packed codes plus their float32 scales."""
+    return -(-count * bits // 8) + 4 * n_scales

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -181,27 +181,25 @@ def distillation_aware_step(
 def evaluate(
     model: SeqModel,
     dataset: Dataset,
-    qconfig: QuantConfig | None = None,
+    qconfig: QuantConfig = QuantConfig(),
     batch_size: int = 32,
 ) -> EvalReport:
     """Greedy-decode every example and score against the references.
 
-    When qconfig is given the decoding runs through the quantized view with
-    the configured activation bits, matching the deployed artifact.
+    Decoding runs through the quantized view with the configured activation
+    bits, matching the deployed artifact; at 32 bits the view holds the
+    model's own tensors.
     """
     if len(dataset) == 0:
         raise TrainError("cannot evaluate on an empty dataset")
-    view, a_bits = model, 32
-    if qconfig is not None:
-        view = quantize_model(model, qconfig)
-        a_bits = qconfig.a_bits
+    view = quantize_model(model, qconfig)
     preds: list[list[int]] = []
     refs: list[list[int]] = []
     cap = model.config.max_positions - 1
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.pairs[start : start + batch_size]
         srcs = [s for s, _ in chunk]
-        preds += greedy_decode_batch(view, srcs, BOS, EOS, cap, PAD, a_bits=a_bits)
+        preds += greedy_decode_batch(view, srcs, BOS, EOS, cap, PAD, a_bits=qconfig.a_bits)
         refs += [t[:-1] if t and t[-1] == EOS else list(t) for _, t in chunk]
     token_acc, seq_acc = accuracy(preds, refs, PAD)
     r1 = r2 = rl = 0.0
@@ -282,7 +280,6 @@ def train(
     n = len(splits.train)
     steps_per_epoch = math.ceil(n / tconfig.batch_size)
     total_steps = tconfig.epochs * steps_per_epoch
-    eval_qconfig = qconfig if qconfig.any_quantized() else None
 
     meta = CheckpointMeta(master.config, qconfig, dconfig, tconfig)
     best_metric = -math.inf
@@ -307,7 +304,7 @@ def train(
                 step += 1
                 for k, v in bd.to_floats().items():
                     sums[k] += v
-            report = evaluate(master, splits.dev, eval_qconfig)
+            report = evaluate(master, splits.dev, qconfig)
             record = {
                 "epoch": epoch,
                 "step": step,
@@ -335,11 +332,7 @@ def train(
 
 
 def _zero_losses() -> dict[str, float]:
-    return dict.fromkeys(
-        ("task", "logits", "enc_attn", "dec_attn", "cross_attn",
-         "enc_hidden", "dec_hidden", "dist", "total"),
-        0.0,
-    )
+    return dict.fromkeys((f.name for f in fields(LossBreakdown)), 0.0)
 
 
 def _dev(report: EvalReport) -> dict[str, float]:

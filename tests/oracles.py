@@ -226,8 +226,12 @@ def ref_forward(cfg, p, src, tgt, pad_id):
     return trace
 
 
-def ref_distill_total(s, t, labels, enc_map, dec_map, pad_id):
-    """Task CE plus the full distillation stack on ref_forward trace dicts."""
+def ref_distill_components(s, t, labels, enc_map, dec_map, pad_id):
+    """Task CE and each distillation component on ref_forward trace dicts.
+
+    Keys follow LossBreakdown: task, logits, then the three attention and
+    the two hidden-state families, each summed over student layers.
+    """
     labels = np.asarray(labels, np.int64)
     b, lt, v = s["logits"].shape
     task = ref_cross_entropy(s["logits"].reshape(b * lt, v), labels.reshape(-1), ignore_id=pad_id)
@@ -243,13 +247,21 @@ def ref_distill_total(s, t, labels, enc_map, dec_map, pad_id):
             ref_mse(a, b_, mask=np.broadcast_to(mask3, a.shape)) for a, b_ in pairs
         )
 
-    lg = ref_mse(s["logits"], t["logits"], mask=np.broadcast_to(tv[:, :, None], s["logits"].shape))
-    ea = masked([(s["enc_attn"][i], t["enc_attn"][m]) for i, m in enumerate(enc_map)], ea_m)
-    da = masked([(s["dec_attn"][i], t["dec_attn"][m]) for i, m in enumerate(dec_map)], da_m)
-    ca = masked([(s["cross_attn"][i], t["cross_attn"][m]) for i, m in enumerate(dec_map)], ca_m)
-    eh = masked([(s["enc_hidden"][i], t["enc_hidden"][m]) for i, m in enumerate(enc_map)], sv[:, :, None])
-    dh = masked([(s["dec_hidden"][i], t["dec_hidden"][m]) for i, m in enumerate(dec_map)], tv[:, :, None])
-    return task + lg + ea + da + ca + eh + dh
+    return {
+        "task": task,
+        "logits": ref_mse(s["logits"], t["logits"],
+                          mask=np.broadcast_to(tv[:, :, None], s["logits"].shape)),
+        "enc_attn": masked([(s["enc_attn"][i], t["enc_attn"][m]) for i, m in enumerate(enc_map)], ea_m),
+        "dec_attn": masked([(s["dec_attn"][i], t["dec_attn"][m]) for i, m in enumerate(dec_map)], da_m),
+        "cross_attn": masked([(s["cross_attn"][i], t["cross_attn"][m]) for i, m in enumerate(dec_map)], ca_m),
+        "enc_hidden": masked([(s["enc_hidden"][i], t["enc_hidden"][m]) for i, m in enumerate(enc_map)], sv[:, :, None]),
+        "dec_hidden": masked([(s["dec_hidden"][i], t["dec_hidden"][m]) for i, m in enumerate(dec_map)], tv[:, :, None]),
+    }
+
+
+def ref_distill_total(s, t, labels, enc_map, dec_map, pad_id):
+    """Task CE plus the full distillation stack on ref_forward trace dicts."""
+    return sum(ref_distill_components(s, t, labels, enc_map, dec_map, pad_id).values())
 
 
 def fd_param_grad(f, w, idx, h=1e-5):

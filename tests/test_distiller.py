@@ -6,18 +6,15 @@ import pytest
 from dqseq.distiller import (
     DistillConfig,
     LayerMap,
-    attention_loss,
-    hidden_loss,
     init_student,
-    logits_loss,
     select_layers,
     task_loss,
     total_loss,
 )
-from dqseq.model import ModelConfig, forward, init_model, param_specs
-from dqseq.tensor import Tape, backward
+from dqseq.model import ForwardTrace, ModelConfig, forward, init_model, param_specs
+from dqseq.tensor import Tape, Tensor, backward
 
-from oracles import fd_param_grad, ref_distill_total, ref_forward, rel_err
+from oracles import fd_param_grad, ref_distill_components, ref_distill_total, ref_forward, rel_err
 
 PAD = 0
 
@@ -42,6 +39,16 @@ def traces(teacher, student, src, dec_in):
         forward(student, src, dec_in, PAD),
         forward(teacher, src, dec_in, PAD),
     )
+
+
+ATTN = ("enc_attn", "dec_attn", "cross_attn")
+HIDDEN = ("enc_hidden", "dec_hidden")
+
+
+def components(st, tt, labels, lmap, names):
+    """The named total_loss components as floats."""
+    bd = total_loss(st, tt, labels, lmap, PAD)
+    return [getattr(bd, n).item() for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -199,47 +206,80 @@ def test_task_loss_ignores_pad_labels():
 def test_constant_offset_fixtures():
     teacher = init_model(DEEP, seed=5)
     student, lmap = init_student(teacher, DistillConfig(enc_layers=4, dec_layers=4))
-    src, dec_in, _ = batch(np.random.default_rng(9), DEEP)
+    src, dec_in, labels = batch(np.random.default_rng(9), DEEP)
     st, tt = traces(teacher, student, src, dec_in)
     tt.logits.data += 1.0
-    assert logits_loss(st, tt).item() == pytest.approx(1.0)
+    assert components(st, tt, labels, lmap, ["logits"]) == [pytest.approx(1.0)]
     for h in tt.enc_hidden:
         h.data += 1.0
-    eh, dh = hidden_loss(st, tt, lmap)
+    eh, dh = components(st, tt, labels, lmap, HIDDEN)
     # unit offset on every encoder layer, summed over 4 layers
-    assert eh.item() == pytest.approx(4.0)
-    assert dh.item() == 0.0
+    assert eh == pytest.approx(4.0)
+    assert dh == 0.0
 
 
 def test_single_layer_hidden_fixture():
-    from dqseq.model import ForwardTrace
-    from dqseq.tensor import Tensor
-
     valid = np.ones((1, 2), dtype=bool)
-    zeros = lambda: Tensor(np.zeros((1, 2, 3), np.float32))
-    ones = lambda: Tensor(np.ones((1, 2, 3), np.float32))
-    st = ForwardTrace(logits=None, enc_hidden=[zeros()], dec_hidden=[zeros()],
-                      src_valid=valid, tgt_valid=valid)
-    tt = ForwardTrace(logits=None, enc_hidden=[ones()], dec_hidden=[ones()],
-                      src_valid=valid, tgt_valid=valid)
-    eh, dh = hidden_loss(st, tt, LayerMap(enc=(0,), dec=(0,)))
-    assert (eh.item(), dh.item()) == (1.0, 1.0)
+
+    def trace(hidden):
+        full = lambda *shape, v=0.0: Tensor(np.full(shape, v, np.float32))
+        return ForwardTrace(
+            logits=full(1, 2, 5),
+            enc_attn=[full(1, 1, 2, 2)], dec_attn=[full(1, 1, 2, 2)], cross_attn=[full(1, 1, 2, 2)],
+            enc_hidden=[full(1, 2, 3, v=hidden)], dec_hidden=[full(1, 2, 3, v=hidden)],
+            src_valid=valid, tgt_valid=valid,
+        )
+
+    labels = np.array([[4, 2]], np.int64)
+    st, tt = trace(0.0), trace(1.0)
+    lmap = LayerMap(enc=(0,), dec=(0,))
+    assert components(st, tt, labels, lmap, HIDDEN) == [1.0, 1.0]
+    assert components(st, tt, labels, lmap, ("logits",) + ATTN) == [0.0] * 4
 
 
 def test_layer_map_selects_which_teacher_layers_participate():
     teacher = init_model(DEEP, seed=5)
     student, lmap = init_student(teacher, DistillConfig(enc_layers=1, dec_layers=1))
     assert lmap == LayerMap(enc=(3,), dec=(3,))
-    src, dec_in, _ = batch(np.random.default_rng(10), DEEP)
+    src, dec_in, labels = batch(np.random.default_rng(10), DEEP)
     st, tt = traces(teacher, student, src, dec_in)
-    base = [t.item() for t in attention_loss(st, tt, lmap)]
+    base = components(st, tt, labels, lmap, ATTN)
     for i in range(3):  # unmapped layers must not participate
         tt.enc_attn[i].data[:] += 100.0
         tt.dec_attn[i].data[:] += 100.0
         tt.cross_attn[i].data[:] += 100.0
-    assert [t.item() for t in attention_loss(st, tt, lmap)] == base
+    assert components(st, tt, labels, lmap, ATTN) == base
     tt.enc_attn[3].data[:, :, 0, 0] += 1.0
-    assert attention_loss(st, tt, lmap)[0].item() != base[0]
+    assert components(st, tt, labels, lmap, ["enc_attn"])[0] != base[0]
+
+
+def test_loss_components_match_float64_reference():
+    # enc and dec maps differ, so a family wired to the other stack's map
+    # or to another family's mask cannot match the reference
+    tcfg = ModelConfig(vocab_size=16, d_model=16, n_heads=2, d_ff=32,
+                       n_enc_layers=4, n_dec_layers=3, max_positions=16)
+    teacher = init_model(tcfg, seed=5)
+    student, lmap = init_student(teacher, DistillConfig(enc_layers=2, dec_layers=2))
+    assert lmap == LayerMap(enc=(0, 3), dec=(0, 2))
+    rng = np.random.default_rng(12)
+    for t in student.params.values():
+        t.data += rng.standard_normal(t.data.shape).astype(np.float32) * 0.05
+    src, dec_in, labels = batch(rng, tcfg, b=3)
+    st, tt = traces(teacher, student, src, dec_in)
+    bd = total_loss(st, tt, labels, lmap, PAD)
+
+    as64 = lambda m: {k: v.data.astype(np.float64) for k, v in m.params.items()}
+    want = ref_distill_components(
+        ref_forward(student.config, as64(student), src, dec_in, PAD),
+        ref_forward(tcfg, as64(teacher), src, dec_in, PAD),
+        labels, lmap.enc, lmap.dec, PAD,
+    )
+    assert list(want) == [f for f in bd.to_floats() if f not in ("dist", "total")]
+    for name, ref in want.items():
+        got = getattr(bd, name).item()
+        assert ref > 0.0, name
+        assert abs(got - ref) <= 1e-4 * ref, (name, got, ref)
+    assert abs(bd.total.item() - sum(want.values())) <= 1e-4 * sum(want.values())
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +289,14 @@ def test_layer_map_selects_which_teacher_layers_participate():
 def test_logits_loss_ignores_padded_target_positions():
     teacher = init_model(DEEP, seed=5)
     student = init_model(DEEP, seed=6)
+    lmap = LayerMap(enc=(0, 1, 2, 3), dec=(0, 1, 2, 3))
     src, dec_in, labels = batch(np.random.default_rng(5), DEEP)
     st, tt = traces(teacher, student, src, dec_in)
-    base = logits_loss(st, tt).item()
+    base = components(st, tt, labels, lmap, ["logits"])
     pad_rows = ~st.tgt_valid
     assert pad_rows.any()
     tt.logits.data[pad_rows] += 100.0
-    assert logits_loss(st, tt).item() == base
+    assert components(st, tt, labels, lmap, ["logits"]) == base
 
 
 def test_attention_loss_masks_padded_and_future_keys():
@@ -264,19 +305,19 @@ def test_attention_loss_masks_padded_and_future_keys():
     lmap = LayerMap(enc=(0, 1, 2, 3), dec=(0, 1, 2, 3))
     src, dec_in, labels = batch(np.random.default_rng(6), DEEP)
     st, tt = traces(teacher, student, src, dec_in)
-    base = [t.item() for t in attention_loss(st, tt, lmap)]
+    base = components(st, tt, labels, lmap, ATTN)
 
     # poke a future key in decoder self-attention: (query 0, key 3)
     tt.dec_attn[1].data[:, :, 0, 3] += 50.0
     # poke a padded source key in cross-attention for the padded row
     pad_col = np.where(~st.src_valid[-1])[0][0]
     tt.cross_attn[0].data[-1, :, :, pad_col] += 50.0
-    same = [t.item() for t in attention_loss(st, tt, lmap)]
+    same = components(st, tt, labels, lmap, ATTN)
     assert same == base
 
     # a causally valid, unpadded entry must move the decoder component
     tt.dec_attn[1].data[0, :, 3, 0] += 50.0
-    moved = [t.item() for t in attention_loss(st, tt, lmap)]
+    moved = components(st, tt, labels, lmap, ATTN)
     assert moved[1] != base[1]
     assert moved[0] == base[0] and moved[2] == base[2]
 
@@ -287,10 +328,10 @@ def test_hidden_loss_masks_padded_positions():
     lmap = LayerMap(enc=(0, 1, 2, 3), dec=(0, 1, 2, 3))
     src, dec_in, labels = batch(np.random.default_rng(7), DEEP)
     st, tt = traces(teacher, student, src, dec_in)
-    base = [t.item() for t in hidden_loss(st, tt, lmap)]
+    base = components(st, tt, labels, lmap, HIDDEN)
     tt.enc_hidden[2].data[~st.src_valid] += 10.0
     tt.dec_hidden[3].data[~st.tgt_valid] += 10.0
-    assert [t.item() for t in hidden_loss(st, tt, lmap)] == base
+    assert components(st, tt, labels, lmap, HIDDEN) == base
 
 
 # ---------------------------------------------------------------------------

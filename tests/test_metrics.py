@@ -179,7 +179,8 @@ def test_footprint_equals_bytes_of_quantize_params(row_wise):
         for e in (2, 4, 8, 32):
             qc = QuantConfig(w, e, 8, row_wise=row_wise)
             stored = quantize_params(model.params, categories, qc)
-            nbytes = sum(packed_size(v) if isinstance(v, QuantizedTensor) else 4 * v.data.size
+            nbytes = sum(packed_size(v.codes.size, v.bits, v.n_scales)
+                         if isinstance(v, QuantizedTensor) else 4 * v.data.size
                          for v in stored.values())
             assert nbytes == footprint(cfg, qc).total_bytes, qc
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqseq.quantizer import (
@@ -158,12 +158,21 @@ def test_linear_reconstruction_error_bound(w, n_bits):
 @settings(max_examples=80)
 @given(finite_vectors, st.integers(-8, 8).filter(lambda e: e != 0))
 def test_linear_scale_equivariance(w, exp2):
-    # powers of two scale exactly in binary floating point
+    # powers of two scale exactly in binary floating point, as long as both
+    # scales stay normal: a subnormal alpha has lost mantissa bits
     c = float(2.0**exp2)
     base = linear_quantize(w, 8)
     scaled = linear_quantize(w * np.float32(c), 8)
+    assume(min(base.alpha, scaled.alpha) >= np.finfo(np.float32).tiny)
     assert np.array_equal(base.codes, scaled.codes)
     assert float(scaled.alpha) == pytest.approx(abs(c) * float(base.alpha), rel=1e-6)
+
+
+def test_linear_scale_underflow_gives_zero_codes():
+    # max|w| / 127 rounds to 0 in float32: the tensor is stored as all zeros
+    q = linear_quantize(np.array([3e-45], np.float32), 8)
+    assert float(q.alpha) == 0.0
+    assert q.codes.tolist() == [0]
 
 
 @settings(max_examples=40)
@@ -225,13 +234,10 @@ def test_activation_8bit_error_bound_and_ste():
 
 
 def test_packed_size_examples():
-    def qt(n, bits):
-        codes = np.zeros(n, np.int8)
-        return QuantizedTensor(np.float32(1.0), codes, bits, (n,))
-
-    assert packed_size(qt(8, 2)) == 2 + 4
-    assert packed_size(qt(3, 2)) == 1 + 4
-    assert packed_size(qt(100, 8)) == 100 + 4
+    assert packed_size(8, 2, 1) == 2 + 4
+    assert packed_size(3, 2, 1) == 1 + 4
+    assert packed_size(100, 8, 1) == 100 + 4
+    assert packed_size(9, 4, 3) == 5 + 12
 
 
 def test_pack_layout_lsb_first():
@@ -270,4 +276,4 @@ def test_packed_size_matches_actual_bytes():
     for bits in (2, 4, 8):
         w = rng.normal(size=37).astype(np.float32)
         q = quantize(w, bits)
-        assert packed_size(q) == len(pack_codes(q.codes, bits)) + 4
+        assert packed_size(q.codes.size, bits, q.n_scales) == len(pack_codes(q.codes, bits)) + 4
