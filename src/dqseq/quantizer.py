@@ -270,40 +270,51 @@ def quantize_model(model, qconfig: QuantConfig):
 # bit packing (normative storage layout)
 
 
+def _code_table(bits: int) -> np.ndarray:
+    """Byte b -> b's 8 // bits int8 codes as one word, built from and read back as int8."""
+    fields = (np.arange(256)[:, None] >> (np.arange(8 // bits) * bits)) & ((1 << bits) - 1)
+    codes = np.where(fields >= 1 << (bits - 1), fields - (1 << bits), fields).astype(np.int8)
+    return codes.view(np.uint32 if bits == 2 else np.uint16).reshape(256)
+
+
+_CODE_TABLES = {2: _code_table(2), 4: _code_table(4)}
+
+
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     """Pack integer codes as bits-wide two's-complement fields.
 
     Layout is little-endian: the lowest-index code occupies the least
-    significant bits of each byte. 2-bit codes pack four per byte.
+    significant bits of each byte. 2-bit codes pack four per byte; a code
+    outside the bits-wide two's-complement range raises ValueError.
     """
     if bits not in PACKED_BITS:
         raise ValueError(f"packable widths are {PACKED_BITS}; got {bits}")
-    flat = np.asarray(codes, dtype=np.int16).reshape(-1)
-    u = (flat & ((1 << bits) - 1)).astype(np.uint8)
+    flat = np.asarray(codes).reshape(-1)
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    if flat.size and (flat.min() < lo or flat.max() > hi):
+        raise ValueError(f"codes [{flat.min()}, {flat.max()}] exceed {bits}-bit [{lo}, {hi}]")
+    u = flat.astype(np.int8, copy=False).view(np.uint8)  # masked, the low bits are the field
     per = 8 // bits
-    if per > 1:
-        pad = (-len(u)) % per
-        if pad:
-            u = np.concatenate([u, np.zeros(pad, np.uint8)])
-        u = u.reshape(-1, per)
-        shifts = np.arange(per, dtype=np.uint8) * bits
-        u = np.bitwise_or.reduce(u << shifts, axis=1).astype(np.uint8)
-    return u.tobytes()
+    if per == 1:
+        return u.tobytes()
+    u = np.concatenate([u, np.zeros(-len(u) % per, np.uint8)]).reshape(-1, per) & ((1 << bits) - 1)
+    out = u[:, 0].copy()
+    for i in range(1, per):
+        out |= u[:, i] << (i * bits)
+    return out.tobytes()
 
 
 def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
-    """Inverse of pack_codes; returns int8 codes of the requested length."""
+    """Inverse of pack_codes: count int8 codes; ValueError if buf holds fewer."""
     if bits not in PACKED_BITS:
         raise ValueError(f"packable widths are {PACKED_BITS}; got {bits}")
     u = np.frombuffer(buf, dtype=np.uint8)
     per = 8 // bits
-    if per > 1:
-        shifts = np.arange(per, dtype=np.uint8) * bits
-        u = ((u[:, None] >> shifts) & ((1 << bits) - 1)).reshape(-1)
-    vals = u[:count].astype(np.int16)
-    sign_bit = 1 << (bits - 1)
-    vals[vals >= sign_bit] -= 1 << bits
-    return vals.astype(np.int8)
+    if len(u) * per < count:
+        raise ValueError(f"{len(u)} bytes hold {len(u) * per} {bits}-bit codes, not {count}")
+    if per == 1:
+        return u[:count].view(np.int8).copy()
+    return np.take(_CODE_TABLES[bits], u).view(np.int8)[:count]
 
 
 def packed_size(count: int, bits: int, n_scales: int) -> int:

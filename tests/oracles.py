@@ -127,6 +127,30 @@ def ref_twn_quantize(w):
 
 
 # ---------------------------------------------------------------------------
+# code packing layout, one code at a time
+
+
+def ref_pack_codes(codes, bits):
+    """Each code as a bits-wide two's-complement field; code i sits in byte
+    i // (8 // bits), the lowest-index code in the least significant bits."""
+    per = 8 // bits
+    out = bytearray(-(-len(codes) // per))
+    for i, c in enumerate(codes):
+        out[i // per] |= (int(c) % (1 << bits)) << (bits * (i % per))
+    return bytes(out)
+
+
+def ref_unpack_codes(buf, bits, count):
+    """The first count fields of buf, read as in ref_pack_codes and sign-extended."""
+    per = 8 // bits
+    out = []
+    for i in range(count):
+        field = (buf[i // per] >> (bits * (i % per))) & ((1 << bits) - 1)
+        out.append(field - (1 << bits) if field >= 1 << (bits - 1) else field)
+    return np.array(out, np.int8)
+
+
+# ---------------------------------------------------------------------------
 # metric oracles
 
 

@@ -277,3 +277,70 @@ def test_packed_size_matches_actual_bytes():
         w = rng.normal(size=37).astype(np.float32)
         q = quantize(w, bits)
         assert packed_size(q.codes.size, bits, q.n_scales) == len(pack_codes(q.codes, bits)) + 4
+
+
+# the layout judged by tests/oracles.py's per-code loops, so that a layout
+# error shared by pack_codes and unpack_codes cannot pass as a round trip
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_codec_matches_layout_oracle_on_every_byte_value(bits):
+    every_byte = bytes(range(256))
+    count = 256 * (8 // bits)
+    codes = oracles.ref_unpack_codes(every_byte, bits, count)
+    assert np.array_equal(unpack_codes(every_byte, bits, count), codes)
+    assert pack_codes(codes, bits) == oracles.ref_pack_codes(codes, bits) == every_byte
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_codec_matches_layout_oracle_on_padded_and_random_lengths(bits):
+    rng = np.random.default_rng(bits)
+    per = 8 // bits
+    lengths = list(range(2 * per + 2)) + list(rng.integers(0, 10_000, 6))
+    for n in lengths:
+        codes = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), n).astype(np.int8)
+        buf = pack_codes(codes, bits)
+        assert buf == oracles.ref_pack_codes(codes, bits)
+        assert np.array_equal(unpack_codes(buf, bits, n), oracles.ref_unpack_codes(buf, bits, n))
+        assert np.array_equal(unpack_codes(buf, bits, n), codes)
+
+
+def test_two_bit_field_0b10_decodes_to_minus_two():
+    # ternary quantization never writes 0b10, but the file format can hold it;
+    # bench/selftest.py flips a code byte with ^ 0xFF and expects that file to load
+    assert unpack_codes(bytes([0b10]), 2, 1).tolist() == [-2]
+    assert unpack_codes(bytes([0xAA]), 2, 4).tolist() == [-2, -2, -2, -2]
+
+
+def test_pack_rejects_codes_outside_the_width():
+    # each would be written as a field that loads as a different code (2 -> -2, 9 -> -7)
+    for codes, bits in (([2], 2), ([-3], 2), ([9], 4), ([-9], 4), ([128], 8), ([-129], 8)):
+        with pytest.raises(ValueError, match=f"{bits}-bit"):
+            pack_codes(np.array(codes, np.int16), bits)
+    assert pack_codes(np.int8([-2, 1, -8, 7]), 4) == bytes([0x1E, 0x78])
+
+
+def test_unpack_rejects_a_short_buffer():
+    with pytest.raises(ValueError, match="not 10"):
+        unpack_codes(b"\x00", 2, 10)
+    with pytest.raises(ValueError, match="not 3"):
+        unpack_codes(b"\x00\x00", 8, 3)
+    assert unpack_codes(b"\x00\x00", 2, 8).tolist() == [0] * 8
+
+
+@pytest.mark.parametrize("row_wise", [False, True])
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_requantizing_dequantized_values_is_idempotent(bits, row_wise):
+    # linear scales come back bit for bit; a ternary scale is a float32 mean
+    # over the kept codes, whose summation order drifts it (3.7e-7 seen)
+    rng = np.random.default_rng(100 + bits)
+    for _ in range(50):
+        rows, cols = rng.integers(1, 12, 2)
+        w = (rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-3, 2)).astype(np.float32)
+        q = quantize(w, bits, row_wise)
+        again = quantize(q.values(), bits, row_wise)
+        assert np.array_equal(again.codes, q.codes)
+        if bits == 2:
+            np.testing.assert_allclose(again.alpha, q.alpha, rtol=1e-6, atol=0)
+        else:
+            assert again.alpha.tobytes() == q.alpha.tobytes()
