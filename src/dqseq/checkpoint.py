@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -90,16 +91,23 @@ def _tensor_record(name: str, value) -> bytes:
 
 
 def save_checkpoint(path: str, params_or_model, meta: CheckpointMeta) -> None:
-    """Write a parameter set (plain, quantized, or a whole model) with meta."""
+    """Write a parameter set (plain, quantized, or a whole model) with meta.
+    A save that fails leaves an earlier file at path as it was."""
     params = params_or_model.params if isinstance(params_or_model, SeqModel) else params_or_model
     config = _config_block(meta)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(config)))
-        fh.write(config)
-        for name in sorted(params):
-            fh.write(_tensor_record(name, params[name]))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(config)))
+            fh.write(config)
+            for name in sorted(params):
+                fh.write(_tensor_record(name, params[name]))
+        os.replace(tmp, path)  # complete files only
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class _Reader:

@@ -21,17 +21,16 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    add_bias,
+    attention_context,
+    attention_scores,
     dropout,
     embedding_gather,
     gelu,
     layer_norm,
-    masked_fill,
+    linear,
     matmul,
     no_grad,
-    reshape,
     scale,
-    softmax,
     transpose,
 )
 
@@ -128,9 +127,6 @@ class SeqModel:
         self.config = config
         self.params = params
 
-    def parameters(self):
-        return self.params.values()
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
@@ -188,27 +184,10 @@ def _check_length(cfg: ModelConfig, what: str, length: int) -> None:
         )
 
 
-def _linear(x: Tensor, p: dict, w_name: str, b_name: str) -> Tensor:
-    """x @ w + b; x is already quantized to the activation bit width."""
-    return add_bias(matmul(x, p[w_name]), p[b_name])
-
-
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, l, d = x.shape
-    return transpose(reshape(x, (b, l, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, l, dh = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, l, h * dh))
-
-
-def _keys_values(p, prefix, source: Tensor, cfg) -> tuple[Tensor, Tensor]:
-    """Split-head keys and values [B, H, L, dh] of one attention block over a
-    quantized source."""
-    k = _split_heads(_linear(source, p, f"{prefix}.wk", f"{prefix}.bk"), cfg.n_heads)
-    v = _split_heads(_linear(source, p, f"{prefix}.wv", f"{prefix}.bv"), cfg.n_heads)
-    return k, v
+def _keys_values(p, prefix, source: Tensor) -> tuple[Tensor, Tensor]:
+    """Keys and values [B, L, D] of one attention block over a quantized source."""
+    return (linear(source, p[f"{prefix}.wk"], p[f"{prefix}.bk"]),
+            linear(source, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
 
 
 class _KVCache:
@@ -217,14 +196,14 @@ class _KVCache:
     gradient: it is for inference only."""
 
     def __init__(self):
-        self.k: Tensor | None = None  # [B, H, positions so far, dh]
+        self.k: Tensor | None = None  # [B, positions so far, D]
         self.v: Tensor | None = None
 
     def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Add the newest positions' keys and values; return all of them."""
         if self.k is not None:
-            k = Tensor(np.concatenate([self.k.data, k.data], axis=2))
-            v = Tensor(np.concatenate([self.v.data, v.data], axis=2))
+            k = Tensor(np.concatenate([self.k.data, k.data], axis=1))
+            v = Tensor(np.concatenate([self.v.data, v.data], axis=1))
         self.k, self.v = k, v
         return k, v
 
@@ -239,24 +218,23 @@ def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, ca
     """
     xn = layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
     xq = quantize_activation(xn, a_bits)  # once for queries, keys and values
-    q = _split_heads(_linear(xq, p, f"{prefix}.wq", f"{prefix}.bq"), cfg.n_heads)
+    q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
     if kv is None:
-        kv = _keys_values(p, prefix, xq, cfg)
+        kv = _keys_values(p, prefix, xq)
         if cache is not None:
             kv = cache.append(*kv)
     k, v = kv
-    raw = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.head_dim))
-    scores = masked_fill(raw, key_mask, MASK_VALUE)
-    probs = dropout(softmax(scores, axis=-1), drop, rng)
-    ctx = _merge_heads(matmul(probs, v))
-    out = _linear(quantize_activation(ctx, a_bits), p, f"{prefix}.wo", f"{prefix}.bo")
+    scores = attention_scores(q, k, key_mask, cfg.n_heads, 1.0 / math.sqrt(cfg.head_dim),
+                              MASK_VALUE)
+    ctx = attention_context(scores, v, cfg.n_heads, drop, rng)
+    out = linear(quantize_activation(ctx, a_bits), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return add(x, dropout(out, drop, rng)), scores
 
 
 def _ffn(p, prefix, ln_prefix, x, a_bits, drop, rng):
     xn = layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
-    h = gelu(_linear(quantize_activation(xn, a_bits), p, f"{prefix}.w1", f"{prefix}.b1"))
-    out = _linear(quantize_activation(h, a_bits), p, f"{prefix}.w2", f"{prefix}.b2")
+    h = gelu(linear(quantize_activation(xn, a_bits), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    out = linear(quantize_activation(h, a_bits), p[f"{prefix}.w2"], p[f"{prefix}.b2"])
     return add(x, dropout(out, drop, rng))
 
 
@@ -275,7 +253,7 @@ class Encoded:
     over them reads, computed once."""
 
     src_valid: np.ndarray  # [B, Ls] bool
-    cross_kv: list[tuple[Tensor, Tensor]]  # per decoder layer: keys, values [B, H, Ls, dh]
+    cross_kv: list[tuple[Tensor, Tensor]]  # per decoder layer: keys, values [B, Ls, D]
     enc_attn: list[Tensor]  # [B, H, Ls, Ls] per encoder layer
     enc_hidden: list[Tensor]  # [B, Ls, D] per encoder layer
 
@@ -311,7 +289,7 @@ def encode(
     memory = layer_norm(x, p["enc.final_ln.gain"], p["enc.final_ln.bias"], LN_EPS)
     memory_q = quantize_activation(memory, a_bits)
     enc.cross_kv = [
-        _keys_values(p, f"dec.{i}.cross", memory_q, cfg) for i in range(cfg.n_dec_layers)
+        _keys_values(p, f"dec.{i}.cross", memory_q) for i in range(cfg.n_dec_layers)
     ]
     return enc
 

@@ -66,22 +66,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -221,6 +205,23 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", out, (a, b), bwd)
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node: [..., k] inputs, a [k, n] weight, an [n] bias."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    X, W = x.data, w.data
+    if X.ndim < 2 or W.ndim != 2 or X.shape[-1] != W.shape[0] or b.shape != W.shape[1:]:
+        raise ShapeError(f"linear needs [..., k] @ [k, n] + [n]: {X.shape} @ {W.shape} + {b.shape}")
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = g @ W.T if need_x else None
+        gw = X.reshape(-1, X.shape[-1]).T @ g2 if need_w else None
+        return gx, gw, (g2.sum(axis=0) if need_b else None)
+
+    return _record("linear", X @ W + b.data, (x, w, b), bwd)
+
+
 def add(a, b) -> Tensor:
     """Elementwise sum; b may be a Python scalar."""
     a = _as_tensor(a)
@@ -232,22 +233,9 @@ def add(a, b) -> Tensor:
     return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        return _record("sub", a.data - float(b), (a,), lambda g: (g,))
-    b = _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    return _record("sub", a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a, b) -> Tensor:
-    """Elementwise (Hadamard) product; b may be a Python scalar."""
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        return scale(a, float(b))
-    b = _as_tensor(b)
+    """Elementwise (Hadamard) product."""
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
     A, B = a.data, b.data
@@ -259,12 +247,6 @@ def scale(a, s: float) -> Tensor:
     a = _as_tensor(a)
     s = float(s)
     return _record("scale", a.data * s, (a,), lambda g: (g * s,))
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    A = a.data
-    return _record("relu", np.maximum(A, 0.0), (a,), lambda g: (g * (A > 0),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -284,33 +266,6 @@ def gelu(a) -> Tensor:
         return (g * d,)
 
     return _record("gelu", out, (a,), bwd)
-
-
-def add_bias(a, b) -> Tensor:
-    """Broadcast-add a 1-D bias over the last dimension of a."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if b.data.ndim != 1 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias needs a trailing-dim bias: {a.shape} + {b.shape}")
-
-    def bwd(g):
-        return g, g.reshape(-1, g.shape[-1]).sum(axis=0)
-
-    return _record("add_bias", a.data + b.data, (a, b), bwd)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis."""
-    a = _as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _record("softmax", y, (a,), bwd)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -370,26 +325,86 @@ def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
     a = _as_tensor(a)
     if rate == 0.0:
         return a
+    keep = _dropout_keep(a.shape, rate, rng)
+    return _record("dropout", a.data * keep, (a,), lambda g: (g * keep,))
+
+
+def _dropout_keep(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 or 1 / (1 - rate), one rng draw per element."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if rng is None:
         raise ValueError("dropout with rate > 0 needs an explicit rng")
-    keep = (rng.random(a.shape) >= rate).astype(np.float32) / (1.0 - rate)
-    return _record("dropout", a.data * keep, (a,), lambda g: (g * keep,))
+    return (rng.random(shape) >= rate).astype(np.float32) / (1.0 - rate)
 
 
-def masked_fill(a, keep_mask, fill_value: float) -> Tensor:
-    """Replace entries where keep_mask is False by fill_value.
+def _to_heads(x: np.ndarray, n_heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
+    """[B, L, D] -> [B, L, H, D / H] transposed by axes, copied to the layout a
+    transpose node's output had, so the batched matmuls round as they did."""
+    b, l, d = x.shape
+    return np.ascontiguousarray(x.reshape(b, l, n_heads, d // n_heads).transpose(axes))
 
-    keep_mask is a constant boolean array broadcastable to a's shape;
-    replaced positions receive zero gradient.
-    """
-    a = _as_tensor(a)
-    keep = np.asarray(keep_mask, dtype=bool)
-    out = np.where(keep, a.data, np.float32(fill_value))
-    if out.shape != a.shape:
-        raise ShapeError(f"mask {keep.shape} does not broadcast to {a.shape}")
-    return _record("masked_fill", out, (a,), lambda g: (g * keep,))
+
+def attention_scores(q, k, key_mask, n_heads: int, scale: float, fill: float) -> Tensor:
+    """Per-head scale * q k^T of [B, Lq, D] queries and [B, Lk, D] keys, as
+    [B, H, Lq, Lk], with fill wherever the constant boolean key_mask
+    (broadcast to the scores) is False; filled entries get zero gradient."""
+    q, k = _as_tensor(q), _as_tensor(k)
+    if q.data.ndim != 3 or k.data.ndim != 3 or q.shape[::2] != k.shape[::2] \
+            or q.shape[2] % n_heads:
+        raise ShapeError(f"attention_scores needs [B, L, D] q and k, D a multiple of {n_heads}; "
+                         f"got {q.shape} and {k.shape}")
+    qh = _to_heads(q.data, n_heads)
+    kt = _to_heads(k.data, n_heads, (0, 2, 3, 1))  # [B, H, dh, Lk]
+    scale, keep = float(scale), np.asarray(key_mask, dtype=bool)
+    raw = (qh @ kt) * scale
+    out = np.where(keep, raw, np.float32(fill))
+    if out.shape != raw.shape:
+        raise ShapeError(f"mask {keep.shape} does not broadcast to {raw.shape}")
+    need_q, need_k = q.requires_grad, k.requires_grad
+
+    def bwd(g):
+        g = (g * keep) * scale
+        gq = gk = None
+        if need_q:
+            gq = (g @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(q.shape)
+        if need_k:
+            gk = (np.swapaxes(qh, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(k.shape)
+        return gq, gk
+
+    return _record("attention_scores", out, (q, k), bwd)
+
+
+def attention_context(scores, v, n_heads: int, rate: float,
+                      rng: np.random.Generator | None) -> Tensor:
+    """Softmax of [B, H, Lq, Lk] scores over the keys, inverted dropout at
+    rate, then each head's mix of [B, Lk, D] values, merged to [B, Lq, D]."""
+    scores, v = _as_tensor(scores), _as_tensor(v)
+    s = scores.data
+    if s.ndim != 4 or v.data.ndim != 3 or s.shape[:2] != (v.shape[0], n_heads) \
+            or s.shape[3] != v.shape[1] or v.shape[2] % n_heads:
+        raise ShapeError(f"attention_context needs [B, H, Lq, Lk] scores and [B, Lk, D] "
+                         f"values; got {s.shape} and {v.shape}")
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    keep = _dropout_keep(y.shape, rate, rng) if rate else None
+    probs = y if keep is None else y * keep
+    vh = _to_heads(v.data, n_heads)
+    ctx = np.ascontiguousarray((probs @ vh).transpose(0, 2, 1, 3))  # [B, Lq, H, dh]
+    need_s, need_v = scores.requires_grad, v.requires_grad
+
+    def bwd(g):
+        gh = g.reshape(ctx.shape).transpose(0, 2, 1, 3)
+        gs = gv = None
+        if need_s:
+            gp = gh @ np.swapaxes(vh, -1, -2)
+            gp = gp if keep is None else gp * keep
+            gs = y * (gp - (gp * y).sum(axis=-1, keepdims=True))
+        if need_v:
+            gv = (np.swapaxes(probs, -1, -2) @ gh).transpose(0, 2, 1, 3).reshape(v.shape)
+        return gs, gv
+
+    return _record("attention_context", ctx.reshape(s.shape[0], s.shape[2], -1), (scores, v), bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -399,12 +414,10 @@ def reshape(a, shape) -> Tensor:
     return _record("reshape", out, (a,), lambda g: (g.reshape(orig),))
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a) -> Tensor:
+    """a with its axes reversed."""
     a = _as_tensor(a)
-    ax = tuple(range(a.data.ndim))[::-1] if axes is None else tuple(axes)
-    inv = tuple(np.argsort(ax))
-    out = np.transpose(a.data, ax)
-    return _record("transpose", out, (a,), lambda g: (np.transpose(g, inv),))
+    return _record("transpose", a.data.T, (a,), lambda g: (g.T,))
 
 
 def straight_through(x, values) -> Tensor:

@@ -49,6 +49,36 @@ def ref_softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def ref_linear(x, w, b):
+    return x @ w + b
+
+
+def _ref_split(x, n_heads):
+    b, l, d = x.shape
+    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _ref_merge(x):
+    b, h, l, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+
+
+def ref_attention_scores(q, k, key_mask, n_heads, fill):
+    """Per-head q k^T / sqrt(head dim) of [B, L, D] inputs, fill where the key
+    mask is False."""
+    raw = _ref_split(q, n_heads) @ _ref_split(k, n_heads).transpose(0, 1, 3, 2)
+    return np.where(key_mask, raw / math.sqrt(q.shape[-1] // n_heads), fill)
+
+
+def ref_attention_context(scores, v, n_heads, keep=None):
+    """Heads merged from softmax(scores) @ split-head values; keep, if given,
+    multiplies the probabilities (the inverted-dropout mask)."""
+    probs = ref_softmax(scores, axis=-1)
+    if keep is not None:
+        probs = probs * keep
+    return _ref_merge(probs @ _ref_split(v, n_heads))
+
+
 def ref_gelu(x):
     c = math.sqrt(2.0 / math.pi)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
@@ -181,26 +211,15 @@ def brute_force_lcs(a, b):
 MASK_VALUE = -1e9
 
 
-def _ref_split(x, n_heads):
-    b, l, d = x.shape
-    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _ref_merge(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
-
-
 def _ref_attention(p, prefix, ln_prefix, x, kv, key_mask, cfg):
     xn = ref_layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"])
     source = xn if kv is None else kv
-    q = _ref_split(xn @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], cfg.n_heads)
-    k = _ref_split(source @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], cfg.n_heads)
-    v = _ref_split(source @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], cfg.n_heads)
-    raw = q @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.head_dim)
-    scores = np.where(key_mask, raw, MASK_VALUE)
-    ctx = _ref_merge(ref_softmax(scores, axis=-1) @ v)
-    out = ctx @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+    q = ref_linear(xn, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k = ref_linear(source, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v = ref_linear(source, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    scores = ref_attention_scores(q, k, key_mask, cfg.n_heads, MASK_VALUE)
+    ctx = ref_attention_context(scores, v, cfg.n_heads)
+    out = ref_linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return x + out, scores
 
 

@@ -121,6 +121,23 @@ def test_none_distill_config_round_trips(tmp_path):
     assert meta.distill_config is None
 
 
+def test_failed_save_leaves_old_file_intact(tmp_path):
+    path = tmp_path / "q.ckpt"
+    meta = small_meta(quant_config=QuantConfig(2, 2, 8))
+    stored = quantize_params(init_model(SMALL, seed=4).params, categories(SMALL),
+                             QuantConfig(2, 2, 8))
+    save_checkpoint(str(path), stored, meta)
+    before = path.read_bytes()
+    bad = stored["enc.0.ffn.w2"]
+    codes = bad.codes.copy()
+    codes.flat[0] = 2  # outside the 2-bit field's range: pack_codes refuses it
+    stored["enc.0.ffn.w2"] = QuantizedTensor(bad.alpha, codes, bad.bits, bad.shape)
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), stored, meta)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["q.ckpt"]
+
+
 def test_records_are_sorted_by_name(tmp_path):
     model = init_model(SMALL, seed=1)
     path_a = str(tmp_path / "a.ckpt")

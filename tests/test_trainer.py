@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from dqseq import trainer
-from dqseq.distiller import DistillConfig, LayerMap
+from dqseq.distiller import DistillConfig, LayerMap, init_student
 from dqseq.model import ModelConfig, forward, init_model
 from dqseq.quantizer import QuantConfig, linear_quantize
 from dqseq.tasks import TaskSpec, generate_task, seq2seq_batch
-from dqseq.tensor import Tape, Tensor, backward, mul, sub, sum_all, straight_through
+from dqseq.tensor import Tape, Tensor, add, backward, mul, sum_all, straight_through
 from dqseq.trainer import (
     Adam,
     CheckpointMeta,
@@ -119,11 +119,10 @@ def test_ste_scalar_probe_gradient_is_exact():
     # loss = (alpha*b - c)^2 must deliver d(loss)/dw = 2(alpha*b - c) through
     # the rounding, as if quantization were the identity
     w = Tensor(np.array([0.4], np.float32), requires_grad=True)
-    c = Tensor(np.array([0.1], np.float32))
     q = linear_quantize(w.data, 8)
     with Tape():
         wq = straight_through(w, q.values())
-        d = sub(wq, c)
+        d = add(wq, -0.1)  # c = 0.1
         loss = sum_all(mul(d, d))
         backward(loss)
     expected = np.float32(2.0) * (q.values()[0] - np.float32(0.1))
@@ -199,6 +198,31 @@ def test_step_frees_its_activations_without_gc(monkeypatch):
         assert all(ref() is None for ref in logits)
     finally:
         gc.enable()
+
+
+def test_dq_step_tape_nodes_at_ladder_shape(monkeypatch):
+    # one node per linear and two per attention core keep each block's
+    # intermediates off the tape; the split-head chains recorded 263 nodes
+    ladder = ModelConfig(vocab_size=16, d_model=64, n_heads=4, d_ff=256,
+                         n_enc_layers=2, n_dec_layers=2, max_positions=16)
+    teacher = init_model(ladder, seed=0)
+    for t in teacher.params.values():
+        t.requires_grad = False
+    student, lmap = init_student(teacher, DistillConfig(2, 2))
+    splits = generate_task(TaskSpec("copy", vocab_size=16, max_len=12, train_size=32,
+                                    dev_size=4, test_size=4, seed=0))
+    batch = seq2seq_batch(splits.train.pairs)
+    sizes = []
+
+    class CountingTape(Tape):
+        def __exit__(self, *exc):
+            sizes.append(len(self.nodes))
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(trainer, "Tape", CountingTape)
+    distillation_aware_step(student, teacher, batch, QuantConfig(2, 2, 8), lmap,
+                            Adam(student.params), 1e-3)
+    assert len(sizes) == 1 and sizes[0] <= 160, sizes
 
 
 # ---------------------------------------------------------------------------
