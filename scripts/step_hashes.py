@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Fixed-step hashes: train a few steps, print sha256s of what they produced.
 
-    python3 scripts/step_hashes.py            # the defaults: 30 + 15 steps
-    python3 scripts/step_hashes.py --teacher-steps 4 --dq-steps 2
+    python3 scripts/step_hashes.py
 
 At the acceptance ladder's shape, with dropout 0 and 0.1, it trains a
-teacher for --teacher-steps task-only steps, then a same-depth student for
---dq-steps distillation-aware steps at 2-2-8 and at 8-8-8. For each run it
+teacher for TEACHER_STEPS task-only steps, then a same-depth student for
+DQ_STEPS distillation-aware steps at 2-2-8 and at 8-8-8. For each run it
 hashes the parameters, every step's loss components and the greedy decodes
 of the dev sources through the 8-bit-activation view. Two checkouts whose
 arithmetic agrees bit for bit print the same hashes; run it in each, from
 the checkout's root (the package is imported from its ``src/``), and diff
-the output. The last line of stdout is one JSON object; the tape nodes per
-distillation-aware step are printed beside the hashes.
+the output. The last line of stdout is one JSON object.
 """
 
-import argparse
 import hashlib
 import json
 import os
@@ -34,18 +31,11 @@ from dqseq.model import ModelConfig, greedy_decode_batch, init_model  # noqa: E4
 from dqseq.quantizer import QuantConfig, quantize_model  # noqa: E402
 from dqseq.tasks import BOS, EOS, PAD, TaskSpec, generate_task, seq2seq_batch  # noqa: E402
 
+SEED = 0
+TEACHER_STEPS = 30
+DQ_STEPS = 15
 LOSS_FIELDS = ("total", "task", "logits", "enc_attn", "dec_attn", "cross_attn",
                "enc_hidden", "dec_hidden")
-
-
-class CountingTape(trainer.Tape):
-    """Records how many nodes each training step's tape held."""
-
-    counts: list[int] = []
-
-    def __exit__(self, *exc):
-        CountingTape.counts.append(len(self.nodes))
-        return super().__exit__(*exc)
 
 
 def _sha(chunks) -> str:
@@ -80,25 +70,17 @@ def _decode_sha(model, qconfig, sources) -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--teacher-steps", type=int, default=30)
-    ap.add_argument("--dq-steps", type=int, default=15)
-    args = ap.parse_args()
-    trainer.Tape = CountingTape
-
     splits = generate_task(TaskSpec("copy", vocab_size=16, max_len=12, train_size=256,
-                                    dev_size=32, test_size=8, seed=args.seed))
+                                    dev_size=32, test_size=8, seed=SEED))
     pairs = splits.train.pairs
     batches = [seq2seq_batch(pairs[i : i + 32]) for i in range(0, len(pairs), 32)]
     sources = [s for s, _ in splits.dev.pairs]
     result = {}
     for rate in (0.0, 0.1):
         cfg = ModelConfig(16, 64, 4, 256, 2, 2, 16, dropout_rate=rate)
-        rng = np.random.default_rng(args.seed)
-        teacher = init_model(cfg, args.seed)
-        loss = _run(teacher, None, None, QuantConfig(), args.teacher_steps, 3e-3, batches, rng)
+        rng = np.random.default_rng(SEED)
+        teacher = init_model(cfg, SEED)
+        loss = _run(teacher, None, None, QuantConfig(), TEACHER_STEPS, 3e-3, batches, rng)
         for t in teacher.params.values():
             t.requires_grad = False
         result[f"teacher/dropout={rate}"] = {
@@ -108,17 +90,14 @@ def main() -> int:
         for bits in ((2, 2, 8), (8, 8, 8)):
             qconfig = QuantConfig(*bits)
             student, lmap = init_student(teacher, DistillConfig(2, 2))
-            CountingTape.counts.clear()
-            loss = _run(student, teacher, lmap, qconfig, args.dq_steps, 1e-3, batches, rng)
+            loss = _run(student, teacher, lmap, qconfig, DQ_STEPS, 1e-3, batches, rng)
             result[f"dq {qconfig.label}/dropout={rate}"] = {
                 "params": _params_sha(student), "losses": loss,
                 "decode": _decode_sha(student, qconfig, sources),
-                "tape_nodes_per_step": sorted(set(CountingTape.counts)),
             }
     for name, row in result.items():
         print(f"{name:>24}  params {row['params'][:16]}  losses {row['losses'][:16]}  "
-              f"decode {row['decode'][:16]}"
-              + (f"  nodes {row['tape_nodes_per_step']}" if "tape_nodes_per_step" in row else ""))
+              f"decode {row['decode'][:16]}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import struct
 from dataclasses import asdict
 
@@ -91,8 +92,8 @@ def _tensor_record(name: str, value) -> bytes:
 
 
 def save_checkpoint(path: str, params_or_model, meta: CheckpointMeta) -> None:
-    """Write a parameter set (plain, quantized, or a whole model) with meta.
-    A save that fails leaves an earlier file at path as it was."""
+    """Write a parameter set (plain, quantized, or a whole model) with meta, through an
+    fsynced temporary file renamed over path: a raise or crash leaves the old file or the new."""
     params = params_or_model.params if isinstance(params_or_model, SeqModel) else params_or_model
     config = _config_block(meta)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -104,6 +105,10 @@ def save_checkpoint(path: str, params_or_model, meta: CheckpointMeta) -> None:
             fh.write(config)
             for name in sorted(params):
                 fh.write(_tensor_record(name, params[name]))
+            fh.flush()
+            os.fsync(fh.fileno())
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)  # complete files only
     finally:
         if os.path.exists(tmp):

@@ -70,10 +70,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
 
 def _attn_specs(prefix: str, d: int):
     for part in ("wq", "wk", "wv", "wo"):
@@ -224,8 +220,7 @@ def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, ca
         if cache is not None:
             kv = cache.append(*kv)
     k, v = kv
-    scores = attention_scores(q, k, key_mask, cfg.n_heads, 1.0 / math.sqrt(cfg.head_dim),
-                              MASK_VALUE)
+    scores = attention_scores(q, k, key_mask, cfg.n_heads, MASK_VALUE)
     ctx = attention_context(scores, v, cfg.n_heads, drop, rng)
     out = linear(quantize_activation(ctx, a_bits), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return add(x, dropout(out, drop, rng)), scores

@@ -345,9 +345,9 @@ def _to_heads(x: np.ndarray, n_heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(b, l, n_heads, d // n_heads).transpose(axes))
 
 
-def attention_scores(q, k, key_mask, n_heads: int, scale: float, fill: float) -> Tensor:
-    """Per-head scale * q k^T of [B, Lq, D] queries and [B, Lk, D] keys, as
-    [B, H, Lq, Lk], with fill wherever the constant boolean key_mask
+def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
+    """Per-head q k^T / sqrt(D / n_heads) of [B, Lq, D] queries and [B, Lk, D]
+    keys, as [B, H, Lq, Lk], with fill wherever the constant boolean key_mask
     (broadcast to the scores) is False; filled entries get zero gradient."""
     q, k = _as_tensor(q), _as_tensor(k)
     if q.data.ndim != 3 or k.data.ndim != 3 or q.shape[::2] != k.shape[::2] \
@@ -356,7 +356,7 @@ def attention_scores(q, k, key_mask, n_heads: int, scale: float, fill: float) ->
                          f"got {q.shape} and {k.shape}")
     qh = _to_heads(q.data, n_heads)
     kt = _to_heads(k.data, n_heads, (0, 2, 3, 1))  # [B, H, dh, Lk]
-    scale, keep = float(scale), np.asarray(key_mask, dtype=bool)
+    scale, keep = 1.0 / math.sqrt(q.shape[2] // n_heads), np.asarray(key_mask, dtype=bool)
     raw = (qh @ kt) * scale
     out = np.where(keep, raw, np.float32(fill))
     if out.shape != raw.shape:

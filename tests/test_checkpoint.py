@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the binary checkpoint format."""
 
 import os
+import stat
 import struct
 import tempfile
 
@@ -136,6 +137,15 @@ def test_failed_save_leaves_old_file_intact(tmp_path):
         save_checkpoint(str(path), stored, meta)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["q.ckpt"]
+
+
+def test_save_over_a_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "m.ckpt"
+    params = init_model(SMALL, seed=0).params
+    save_checkpoint(str(path), params, small_meta())
+    os.chmod(path, 0o640)
+    save_checkpoint(str(path), params, small_meta())
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
 
 def test_records_are_sorted_by_name(tmp_path):

@@ -206,14 +206,16 @@ def test_attention_scores_mask_values_and_grad():
     k = Tensor(np.ones((1, 2, 2)), requires_grad=True)
     keep = np.array([[True, False], [False, True]])
     with Tape():
-        out = attention_scores(q, k, keep, 1, 0.5, -1e9)
+        out = attention_scores(q, k, keep, 1, -1e9)
         backward(sum_all(out))
-    assert np.array_equal(out.data[0, 0], np.where(keep, 1.0, -1e9).astype(np.float32))
-    # each query row sees one unmasked key of ones, at scale 0.5
-    assert np.array_equal(q.grad, np.full((1, 2, 2), 0.5, np.float32))
-    assert np.array_equal(k.grad, np.full((1, 2, 2), 0.5, np.float32))
+    # one head of width 2 scales by 1/sqrt(2); q . k of ones is 2
+    s = np.float32(1 / math.sqrt(2))
+    assert np.array_equal(out.data[0, 0], np.where(keep, 2 * s, np.float32(-1e9)))
+    # each query row sees one unmasked key of ones
+    assert np.array_equal(q.grad, np.full((1, 2, 2), s, np.float32))
+    assert np.array_equal(k.grad, np.full((1, 2, 2), s, np.float32))
     with pytest.raises(ShapeError, match="mask"):
-        attention_scores(q, k, np.ones((1, 1, 2, 2, 2), bool), 1, 0.5, -1e9)
+        attention_scores(q, k, np.ones((1, 1, 2, 2, 2), bool), 1, -1e9)
 
 
 def test_attention_context_dropout_draws_like_dropout():
@@ -347,7 +349,7 @@ def test_grad_softmax_layer_norm():
             f"sm{s}",
         )
         check_grads(
-            lambda q, k: attention_scores(q, k, keep, 2, 1 / math.sqrt(2), -4.0),
+            lambda q, k: attention_scores(q, k, keep, 2, -4.0),
             lambda q, k: oracles.ref_attention_scores(q, k, keep, 2, -4.0),
             [rand(rng, 2, 3, 4), rand(rng, 2, 6, 4)],
             f"as{s}",
