@@ -91,10 +91,9 @@ def _tensor_record(name: str, value) -> bytes:
     return head + body
 
 
-def save_checkpoint(path: str, params_or_model, meta: CheckpointMeta) -> None:
-    """Write a parameter set (plain, quantized, or a whole model) with meta, through an
-    fsynced temporary file renamed over path: a raise or crash leaves the old file or the new."""
-    params = params_or_model.params if isinstance(params_or_model, SeqModel) else params_or_model
+def save_checkpoint(path: str, params: dict, meta: CheckpointMeta) -> None:
+    """Write a parameter set (Tensors and QuantizedTensors) with meta, through an fsynced
+    temporary file renamed over path: a raise or crash leaves the old file or the new."""
     config = _config_block(meta)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -145,7 +144,8 @@ def load_checkpoint(path: str):
     """Read back (params, meta); the bit-exact inverse of save_checkpoint.
 
     Quantized records come back as QuantizedTensor, everything else as a
-    trainable Tensor. Use build_model to turn the set into a SeqModel.
+    trainable Tensor. Only build_model checks the set against the config's
+    inventory: a file cut at a record boundary loads here.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read())

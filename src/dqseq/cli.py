@@ -133,16 +133,12 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, meta = load_model(args.ckpt)
+    model, meta = load_model(args.ckpt)  # the stored codes, dequantized: nothing to re-quantize
     spec = _task_spec(args)
-    splits = generate_task(spec)
-    dataset = getattr(splits, args.split)
-    qconfig = _qconfig(args)
-    if not qconfig.any_quantized():
-        qconfig = meta.quant_config
-    report = evaluate(model, dataset, qconfig)
+    dataset = getattr(generate_task(spec), args.split)
+    report = evaluate(model, dataset, QuantConfig(a_bits=meta.quant_config.a_bits))
     print(f"{args.ckpt} on {spec.kind}/{args.split} ({report.n_examples} examples), "
-          f"weights {qconfig.label}")
+          f"weights {meta.quant_config.label}")
     _print_row(report.to_dict())
     return 0
 
@@ -211,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="also record the run manifest here")
     p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("eval", help="score a checkpoint on a generated task split")
+    p = sub.add_parser("eval", help="score a checkpoint's stored weights on a task split")
     _add_task_flags(p)
-    _add_bits_flags(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", choices=("train", "dev", "test"), default="test")
     p.add_argument("--seed", type=int, default=0)

@@ -14,11 +14,11 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
-from .checkpoint import CheckpointError, load_model, save_checkpoint
+from .checkpoint import CheckpointError, build_model, load_model, save_checkpoint
 from .distiller import DistillConfig
 from .metrics import footprint
-from .model import ModelConfig
-from .quantizer import QuantConfig
+from .model import ModelConfig, param_specs
+from .quantizer import QuantConfig, quantize_params
 from .tasks import TaskError, TaskSpec, generate_task
 from .trainer import TrainConfig, TrainError, evaluate, train
 
@@ -110,9 +110,9 @@ def run_experiment(manifest: RunManifest, log_path: str | None = None) -> dict:
     """Run one manifest end to end and fill in its result row.
 
     Student modes resolve the teacher checkpoint before anything else, so a
-    missing file fails fast. The footprint ratio always compares against the
-    teacher's architecture held at 32 bits; for teacher runs that is the model
-    itself, so the ratio is 1.
+    missing file fails fast. The master is quantized once; the row scores
+    that stored set and out_path receives it. The footprint ratio compares
+    against the teacher's architecture at 32 bits (ratio 1 for teachers).
     """
     mode = manifest.train_config.mode
     tag = manifest.content_hash()[:12]
@@ -150,7 +150,10 @@ def run_experiment(manifest: RunManifest, log_path: str | None = None) -> dict:
     except (TaskError, TrainError) as exc:
         raise HarnessError(f"manifest {tag}: {exc}") from exc
 
-    report = evaluate(model, splits.test, meta.quant_config)
+    categories = {name: cat for name, _, cat in param_specs(model.config)}
+    stored = quantize_params(model.params, categories, meta.quant_config)
+    view = build_model(stored, meta)
+    report = evaluate(view, splits.test, QuantConfig(a_bits=meta.quant_config.a_bits))
     fp = footprint(model, meta.quant_config, baseline=baseline)
     shape = f"{model.config.n_enc_layers}-{model.config.n_dec_layers}"
     manifest.result = {
@@ -163,7 +166,7 @@ def run_experiment(manifest: RunManifest, log_path: str | None = None) -> dict:
     }
     manifest.wall_clock = time.perf_counter() - start
     if manifest.out_path:
-        save_checkpoint(manifest.out_path, model, meta)
+        save_checkpoint(manifest.out_path, stored, meta)
     return manifest.result
 
 

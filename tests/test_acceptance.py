@@ -531,7 +531,7 @@ def test_persistence_round_trip_and_reproducible_rows(tmp_path):
                           TrainConfig("teacher", epochs=1))
     model = init_model(SMALL, seed=0)
     path = str(tmp_path / "full.ckpt")
-    save_checkpoint(path, model, meta)
+    save_checkpoint(path, model.params, meta)
     params, _ = load_checkpoint(path)
     for name, t in model.params.items():
         np.testing.assert_array_equal(params[name].data, t.data)

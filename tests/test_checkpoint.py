@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the binary checkpoint format."""
 
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -52,7 +53,7 @@ def test_float32_round_trip_bit_exact(tmp_path):
     model = init_model(SMALL, seed=3)
     meta = small_meta()
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, model, meta)
+    save_checkpoint(path, model.params, meta)
     params, got = load_checkpoint(path)
 
     assert set(params) == set(model.params)
@@ -117,7 +118,7 @@ def test_row_wise_alpha_shape_survives(tmp_path):
 
 def test_none_distill_config_round_trips(tmp_path):
     path = str(tmp_path / "none.ckpt")
-    save_checkpoint(path, init_model(SMALL, seed=0), small_meta(distill_config=None))
+    save_checkpoint(path, init_model(SMALL, seed=0).params, small_meta(distill_config=None))
     _, meta = load_checkpoint(path)
     assert meta.distill_config is None
 
@@ -161,7 +162,7 @@ def test_records_are_sorted_by_name(tmp_path):
 
 def test_bad_magic_is_rejected(tmp_path):
     path = str(tmp_path / "bad.ckpt")
-    save_checkpoint(path, init_model(SMALL, seed=0), small_meta())
+    save_checkpoint(path, init_model(SMALL, seed=0).params, small_meta())
     blob = open(path, "rb").read()
     with open(path, "wb") as fh:
         fh.write(b"NOPE" + blob[4:])
@@ -171,7 +172,7 @@ def test_bad_magic_is_rejected(tmp_path):
 
 def test_unknown_version_is_rejected(tmp_path):
     path = str(tmp_path / "v9.ckpt")
-    save_checkpoint(path, init_model(SMALL, seed=0), small_meta())
+    save_checkpoint(path, init_model(SMALL, seed=0).params, small_meta())
     blob = bytearray(open(path, "rb").read())
     blob[4:8] = (99).to_bytes(4, "little")
     with open(path, "wb") as fh:
@@ -183,13 +184,29 @@ def test_unknown_version_is_rejected(tmp_path):
 @pytest.mark.parametrize("keep", [2, 7, 20, 200])
 def test_truncation_is_rejected(tmp_path, keep):
     path = str(tmp_path / "cut.ckpt")
-    save_checkpoint(path, init_model(SMALL, seed=0), small_meta())
+    save_checkpoint(path, init_model(SMALL, seed=0).params, small_meta())
     blob = open(path, "rb").read()
     assert keep < len(blob)
     with open(path, "wb") as fh:
         fh.write(blob[:keep])
     with pytest.raises(CheckpointError, match="truncated|magic"):
         load_checkpoint(path)
+
+
+def test_file_cut_at_a_record_boundary_is_refused_by_load_model(tmp_path):
+    meta = small_meta(quant_config=QuantConfig(2, 2, 8))
+    stored = quantize_params(init_model(SMALL, seed=6).params, categories(SMALL),
+                             QuantConfig(2, 2, 8))
+    last = max(stored)  # records are written in sorted-name order
+    full, short = tmp_path / "full.ckpt", tmp_path / "short.ckpt"
+    save_checkpoint(str(full), stored, meta)
+    save_checkpoint(str(short), {k: v for k, v in stored.items() if k != last}, meta)
+    blob, cut = full.read_bytes(), short.read_bytes()
+    assert blob[: len(cut)] == cut and len(cut) < len(blob)
+    full.write_bytes(cut)  # the full file minus its last record
+    assert last not in load_checkpoint(str(full))[0]
+    with pytest.raises(CheckpointError, match=re.escape(f"missing ['{last}']")):
+        load_model(str(full))
 
 
 def test_unknown_dtype_tag_is_rejected(tmp_path):
@@ -233,7 +250,7 @@ def test_build_model_dequantizes_to_working_model(tmp_path):
 def test_load_model_reproduces_decodes(tmp_path):
     model = init_model(SMALL, seed=11)
     path = str(tmp_path / "decode.ckpt")
-    save_checkpoint(path, model, small_meta())
+    save_checkpoint(path, model.params, small_meta())
     back, _ = load_model(path)
     src = [[4, 5, 6], [7, 8]]
     want = greedy_decode_batch(model, src, bos_id=1, eos_id=2, pad_id=0, max_len=8)
@@ -316,7 +333,7 @@ def test_malformed_config_block_is_rejected(tmp_path, edit):
 def test_config_block_without_row_wise_loads_per_tensor(tmp_path):
     path = str(tmp_path / "old.ckpt")
     model = init_model(SMALL, seed=4)
-    save_checkpoint(path, model, small_meta(quant_config=QuantConfig(2, 2, 8)))
+    save_checkpoint(path, model.params, small_meta(quant_config=QuantConfig(2, 2, 8)))
     blob = open(path, "rb").read()
     old = with_config(blob, lambda c: c.replace(b', "row_wise": false', b""))
     assert b"row_wise" not in old

@@ -7,6 +7,7 @@ import pytest
 from dqseq.checkpoint import load_checkpoint, load_model
 from dqseq.cli import main
 from dqseq.harness import TABLE_COLUMNS, RunManifest
+from dqseq.quantizer import QuantConfig
 from dqseq.tasks import TaskSpec, generate_task
 from dqseq.trainer import evaluate
 
@@ -115,8 +116,16 @@ def test_compress_row_wise_is_stored_and_eval_honours_it(tmp_path, teacher_ckpt,
     model, meta = load_model(ckpt)
     dev = generate_task(TaskSpec("copy", vocab_size=16, max_len=6, train_size=48,
                                  dev_size=8, test_size=8)).dev
-    want = evaluate(model, dev, meta.quant_config).to_dict()
+    # the loaded model already holds the stored codes' values: only activations quantize
+    want = evaluate(model, dev, QuantConfig(a_bits=meta.quant_config.a_bits)).to_dict()
     assert printed == {k: f"{v:.4f}" for k, v in want.items()}
+
+
+def test_eval_has_no_bit_flags_and_reports_the_stored_widths(teacher_ckpt, capsys):
+    assert main(["eval", "--ckpt", teacher_ckpt, *TASK, "--w-bits", "2"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert main(["eval", "--ckpt", teacher_ckpt, *TASK]) == 0
+    assert "weights 32-32-32" in capsys.readouterr().out.splitlines()[0]
 
 
 def test_compress_missing_teacher_fails(tmp_path, capsys):

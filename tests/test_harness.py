@@ -1,15 +1,19 @@
 """Manifest round-trips, experiment orchestration, and table output."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from dqseq.checkpoint import load_model
+from dqseq.checkpoint import load_checkpoint, load_model, save_checkpoint
 from dqseq.distiller import DistillConfig
 from dqseq.harness import TABLE_COLUMNS, HarnessError, RunManifest, run_experiment, write_table
-from dqseq.model import ModelConfig
-from dqseq.quantizer import QuantConfig
-from dqseq.tasks import TaskSpec
-from dqseq.trainer import TrainConfig
+from dqseq.metrics import footprint
+from dqseq.model import ModelConfig, param_specs
+from dqseq.quantizer import QuantConfig, QuantizedTensor, quantize_params
+from dqseq.tasks import TaskSpec, generate_task
+from dqseq.trainer import TrainConfig, evaluate, train
 
 TINY_TASK = TaskSpec("copy", vocab_size=16, min_len=1, max_len=6,
                      train_size=48, dev_size=8, test_size=8, seed=0)
@@ -120,6 +124,67 @@ def test_teacher_run_produces_row_and_checkpoint(tmp_path, teacher_ckpt):
     assert row["ratio"] == 1.0
     assert 0.0 <= row["token_acc"] <= 1.0
     assert m.wall_clock > 0
+
+
+def test_teacher_run_saves_its_float32_master(tmp_path):
+    run, direct = tmp_path / "run.ckpt", tmp_path / "direct.ckpt"
+    m = teacher_manifest(str(run))
+    run_experiment(m)
+    model, meta = train(None, m.train_config, generate_task(m.task), model_config=m.model_config)
+    save_checkpoint(str(direct), model.params, meta)
+    params, _ = load_checkpoint(str(run))
+    assert not any(isinstance(v, QuantizedTensor) for v in params.values())  # tag 0 only
+    assert run.read_bytes() == direct.read_bytes()
+
+
+def format_overhead(path: str) -> int:
+    """Bytes of a checkpoint that are not codes, scales or float32 values: the
+    16-byte header, the config block, and each record's name, rank, dims, tag
+    and (quantized) bits, alpha-rank and scale-count fields."""
+    with open(path, "rb") as fh:
+        fh.seek(8)
+        overhead = 16 + struct.unpack("<Q", fh.read(8))[0]
+    params, _ = load_checkpoint(path)
+    for name, value in params.items():
+        overhead += 8 + len(name.encode()) + 8 + 8 * len(value.shape) + 1
+        if isinstance(value, QuantizedTensor):
+            overhead += 1 + 1 + 8
+    return overhead
+
+
+@pytest.mark.parametrize("qconfig", [
+    QuantConfig(2, 2, 8), QuantConfig(4, 4, 8), QuantConfig(8, 8, 8),
+    QuantConfig(2, 4, 8, row_wise=True),
+], ids=["2-2-8", "4-4-8", "8-8-8", "2-4-8-row-wise"])
+def test_compress_saves_the_stored_set_it_scored(tmp_path, teacher_ckpt, qconfig):
+    out = str(tmp_path / "student.ckpt")
+    m = student_manifest(teacher_ckpt, "dq", qconfig, DistillConfig(2, 1), out_path=out)
+    row = run_experiment(m)
+    splits = generate_task(TINY_TASK)
+
+    loaded, meta = load_model(out)
+    assert meta.quant_config == qconfig
+    report = evaluate(loaded, splits.test, QuantConfig(a_bits=qconfig.a_bits)).to_dict()
+    assert report == {k: row[k] for k in report}
+
+    # the same run again gives the master; the file holds its quantize_params, bit for bit
+    master, _ = train(load_model(teacher_ckpt)[0], m.train_config, splits,
+                      qconfig=qconfig, dconfig=m.distill_config)
+    categories = {name: cat for name, _, cat in param_specs(master.config)}
+    want = quantize_params(master.params, categories, qconfig)
+    got, _ = load_checkpoint(out)
+    assert set(got) == set(want)
+    for name, w in want.items():
+        if isinstance(w, QuantizedTensor):
+            assert isinstance(got[name], QuantizedTensor) and got[name].bits == w.bits, name
+            assert got[name].codes.tobytes() == w.codes.tobytes(), name
+            assert got[name].alpha.tobytes() == w.alpha.tobytes(), name
+        else:
+            assert got[name].data.tobytes() == w.data.tobytes(), name
+    assert any(isinstance(w, QuantizedTensor) for w in want.values())
+
+    fp = footprint(master, qconfig)
+    assert os.path.getsize(out) - format_overhead(out) == fp.total_bytes
 
 
 def test_grid_rows_and_ratio_ordering(teacher_ckpt):
