@@ -6,17 +6,21 @@
 At the acceptance ladder's shape, with dropout 0 and 0.1, it trains a
 teacher for TEACHER_STEPS task-only steps, then a same-depth student for
 DQ_STEPS distillation-aware steps at 2-2-8 and at 8-8-8. For each run it
-hashes the parameters, every step's loss components and the greedy decodes
-of the dev sources through the 8-bit-activation view. Two checkouts whose
-arithmetic agrees bit for bit print the same hashes; run it in each, from
-the checkout's root (the package is imported from its ``src/``), and diff
-the output. The last line of stdout is one JSON object.
+hashes the parameters, every step's loss components, the greedy decodes
+of the dev sources through the 8-bit-activation view, and the bytes that
+save_checkpoint writes (through a temporary file) for the run's
+quantize_params set: the teacher's float32 master, each student's packed
+codes and scales. Two checkouts whose arithmetic, quantizer and codec agree
+bit for bit print the same hashes; run it in each, from the checkout's root
+(the package is imported from its ``src/``), and diff the output. The last
+line of stdout is one JSON object.
 """
 
 import hashlib
 import json
 import os
 import sys
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # one BLAS thread, as the benchmark runs
@@ -26,9 +30,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import numpy as np  # noqa: E402
 
 from dqseq import trainer  # noqa: E402
+from dqseq.checkpoint import save_checkpoint  # noqa: E402
 from dqseq.distiller import DistillConfig, init_student  # noqa: E402
-from dqseq.model import ModelConfig, greedy_decode_batch, init_model  # noqa: E402
-from dqseq.quantizer import QuantConfig, quantize_model  # noqa: E402
+from dqseq.model import ModelConfig, greedy_decode_batch, init_model, param_specs  # noqa: E402
+from dqseq.quantizer import QuantConfig, quantize_model, quantize_params  # noqa: E402
 from dqseq.tasks import BOS, EOS, PAD, TaskSpec, generate_task, seq2seq_batch  # noqa: E402
 
 SEED = 0
@@ -69,6 +74,18 @@ def _decode_sha(model, qconfig, sources) -> str:
     return _sha(np.asarray(o + [-1], np.int64).tobytes() for o in outs)
 
 
+def _checkpoint_sha(model, qconfig, mode) -> str:
+    """The sha256 of the file save_checkpoint writes for model's quantize_params set."""
+    categories = {name: cat for name, _, cat in param_specs(model.config)}
+    stored = quantize_params(model.params, categories, qconfig)
+    meta = trainer.CheckpointMeta(model.config, qconfig, None, trainer.TrainConfig(mode))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.dqs")
+        save_checkpoint(path, stored, meta)
+        with open(path, "rb") as fh:
+            return _sha([fh.read()])
+
+
 def main() -> int:
     splits = generate_task(TaskSpec("copy", vocab_size=16, max_len=12, train_size=256,
                                     dev_size=32, test_size=8, seed=SEED))
@@ -86,6 +103,7 @@ def main() -> int:
         result[f"teacher/dropout={rate}"] = {
             "params": _params_sha(teacher), "losses": loss,
             "decode": _decode_sha(teacher, QuantConfig(32, 32, 8), sources),
+            "checkpoint": _checkpoint_sha(teacher, QuantConfig(), "teacher"),
         }
         for bits in ((2, 2, 8), (8, 8, 8)):
             qconfig = QuantConfig(*bits)
@@ -94,10 +112,11 @@ def main() -> int:
             result[f"dq {qconfig.label}/dropout={rate}"] = {
                 "params": _params_sha(student), "losses": loss,
                 "decode": _decode_sha(student, qconfig, sources),
+                "checkpoint": _checkpoint_sha(student, qconfig, "dq"),
             }
     for name, row in result.items():
         print(f"{name:>24}  params {row['params'][:16]}  losses {row['losses'][:16]}  "
-              f"decode {row['decode'][:16]}")
+              f"decode {row['decode'][:16]}  checkpoint {row['checkpoint'][:16]}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

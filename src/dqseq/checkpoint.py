@@ -197,22 +197,30 @@ def build_model(params: dict, meta: CheckpointMeta) -> SeqModel:
     """Materialize a SeqModel, dequantizing any quantized parameters.
 
     The parameter names and shapes must exactly match the model config's
-    inventory.
+    inventory, and each record's storage width and scale granularity must be
+    the ones the quant config gives it.
     """
-    shapes = {name: shape for name, shape, _ in param_specs(meta.model_config)}
-    expected, got = set(shapes), set(params)
+    specs = {name: (shape, cat) for name, shape, cat in param_specs(meta.model_config)}
+    expected, got = set(specs), set(params)
     if got != expected:
         missing, extra = sorted(expected - got), sorted(got - expected)
         raise CheckpointError(
             f"parameter names do not match the config: missing {missing}, extra {extra}"
         )
+    qc = meta.quant_config
     out = {}
     for name, value in params.items():
-        if tuple(value.shape) != shapes[name]:
+        shape, category = specs[name]
+        bits = qc.bits_for(category)
+        want = (shape, bits, int(bits < 32 and qc.row_wise_for(shape)))
+        stored = (value.bits, value.alpha.ndim) if isinstance(value, QuantizedTensor) else (32, 0)
+        have = (tuple(value.shape), *stored)
+        if have != want:
             raise CheckpointError(
-                f"tensor {name!r} has shape {tuple(value.shape)}, the config names {shapes[name]}"
+                f"tensor {name!r} is stored as (shape, bits, alpha rank) {have}; "
+                f"config {qc.label}, row_wise={qc.row_wise} gives {want}"
             )
-        data = value.values() if isinstance(value, QuantizedTensor) else value.data.copy()
+        data = value.values() if bits < 32 else value.data.copy()
         out[name] = Tensor(data, requires_grad=True, name=name)
     return SeqModel(meta.model_config, out)
 

@@ -116,7 +116,9 @@ class QuantizedTensor:
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + np.float32(0.5))
+    """Round a float32 buffer half away from zero, in place; returns it."""
+    x += np.copysign(np.float32(0.5), x)
+    return np.trunc(x, out=x)
 
 
 def _as_array(w) -> np.ndarray:
@@ -136,23 +138,16 @@ def linear_quantize(w, n_bits: int, row_wise: bool = False) -> QuantizedTensor:
     if not 3 <= n_bits <= 8:
         raise ValueError(f"linear_quantize supports 3..8 bits, got {n_bits}")
     arr = _as_array(w)
+    if row_wise and arr.ndim != 2:
+        raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
     th = 2 ** (n_bits - 1) - 1
-    if row_wise:
-        if arr.ndim != 2:
-            raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
-        m = np.abs(arr).max(axis=1)
-        alpha = (m / np.float32(th)).astype(np.float32)
-        safe = np.where(alpha > 0, alpha, np.float32(1.0))
-        codes = _round_half_away(arr / safe[:, None])
-        codes[alpha == 0] = 0.0
-    else:
-        m = np.abs(arr).max() if arr.size else np.float32(0.0)
-        alpha = np.float32(m / np.float32(th))
-        if alpha == 0.0:  # all-zero input, or max so small the scale underflows
-            return QuantizedTensor(np.float32(0.0), np.zeros(arr.shape, np.int8), n_bits, arr.shape)
-        codes = _round_half_away(arr / alpha)
-    codes = np.clip(codes, -th, th).astype(np.int8)
-    return QuantizedTensor(alpha, codes, n_bits, arr.shape)
+    rows = arr if row_wise else arr.reshape(1, -1)  # per tensor: one row, one scale
+    alpha = np.abs(rows).max(axis=1, initial=0.0) / np.float32(th)
+    # a zero scale (all-zero row, or max so small the scale underflows) gets zero codes
+    codes = _round_half_away(rows / np.where(alpha > 0, alpha, np.float32(1.0))[:, None])
+    codes[alpha == 0] = 0.0
+    codes = np.clip(codes, -th, th, out=codes).astype(np.int8).reshape(arr.shape)
+    return QuantizedTensor(alpha if row_wise else alpha[0], codes, n_bits, arr.shape)
 
 
 def twn_quantize(w, row_wise: bool = False) -> QuantizedTensor:
@@ -164,25 +159,23 @@ def twn_quantize(w, row_wise: bool = False) -> QuantizedTensor:
     above-threshold set gets alpha 0.
     """
     arr = _as_array(w)
-    if row_wise:
-        if arr.ndim != 2:
-            raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
-        absw = np.abs(arr)
-        delta = np.float32(0.7) * absw.sum(axis=1) / np.float32(arr.shape[1])
-        above = absw > delta[:, None]
-        codes = (np.sign(arr) * above).astype(np.int8)
-        counts = above.sum(axis=1).astype(np.float32)
-        sums = (absw * above).sum(axis=1)
-        alpha = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0).astype(np.float32)
-        return QuantizedTensor(alpha, codes, 2, arr.shape)
+    if row_wise and arr.ndim != 2:
+        raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
     absw = np.abs(arr)
-    if arr.size == 0:
-        return QuantizedTensor(np.float32(0.0), np.zeros(arr.shape, np.int8), 2, arr.shape)
-    delta = np.float32(0.7) * absw.sum() / np.float32(arr.size)
+    if row_wise:
+        delta = (np.float32(0.7) * absw.sum(axis=1) / np.float32(arr.shape[1]))[:, None]
+        codes = (arr > delta).view(np.int8) - (arr < -delta).view(np.int8)
+        above = absw > delta
+        counts = np.count_nonzero(above, axis=1).astype(np.float32)
+        absw *= above  # sum at full length, not absw[above]: the pairwise order fixes alpha's bits
+        alpha = np.where(counts > 0, absw.sum(axis=1) / np.maximum(counts, 1.0), 0.0)
+        return QuantizedTensor(alpha, codes, 2, arr.shape)
+    delta = np.float32(0.7) * absw.sum() / np.float32(max(arr.size, 1))
+    codes = (arr > delta).view(np.int8) - (arr < -delta).view(np.int8)
     above = absw > delta
-    codes = (np.sign(arr) * above).astype(np.int8)
-    k = int(above.sum())
-    alpha = np.float32((absw * above).sum() / np.float32(k)) if k else np.float32(0.0)
+    k = np.count_nonzero(above)
+    absw *= above  # sum at full length, not absw[above]: the pairwise order fixes alpha's bits
+    alpha = absw.sum() / np.float32(k) if k else 0.0
     return QuantizedTensor(alpha, codes, 2, arr.shape)
 
 
@@ -217,13 +210,8 @@ def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
     any_zero = bool(zero.any())
     if any_zero:
         alpha[zero] = 1.0
-    # round half away from zero, clamp and rescale, in place on the output buffer
-    vals = data / alpha
-    sign = np.sign(vals)
-    np.abs(vals, out=vals)
-    vals += np.float32(0.5)
-    np.floor(vals, out=vals)
-    vals *= sign
+    # round, clamp and rescale in place on the output buffer, which straight_through keeps
+    vals = _round_half_away(data / alpha)
     np.clip(vals, -127, 127, out=vals)
     vals *= alpha
     if any_zero:
@@ -294,14 +282,17 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     if flat.size and (flat.min() < lo or flat.max() > hi):
         raise ValueError(f"codes [{flat.min()}, {flat.max()}] exceed {bits}-bit [{lo}, {hi}]")
     u = flat.astype(np.int8, copy=False).view(np.uint8)  # masked, the low bits are the field
-    per = 8 // bits
-    if per == 1:
+    if bits == 8:
         return u.tobytes()
-    u = np.concatenate([u, np.zeros(-len(u) % per, np.uint8)]).reshape(-1, per) & ((1 << bits) - 1)
-    out = u[:, 0].copy()
-    for i in range(1, per):
-        out |= u[:, i] << (i * bits)
-    return out.tobytes()
+    if len(u) % 4:
+        u = np.concatenate([u, np.zeros(-len(u) % 4, np.uint8)])
+    # 4 codes per little-endian word: mask each byte to its field, then shift-or them down
+    w = u.view("<u4") & np.uint32(0x03030303 if bits == 2 else 0x0F0F0F0F)
+    w |= w >> (8 - bits)  # fields 0 and 1 meet in byte 0, fields 2 and 3 in byte 2
+    if bits == 4:
+        w &= np.uint32(0x00FF00FF)  # drop the copies left in bytes 1 and 3
+    w |= w >> (16 - 2 * bits)  # byte 2's pair joins byte 0's in the word's low bits
+    return w.astype(np.uint8 if bits == 2 else "<u2").tobytes()[: -(-len(flat) * bits // 8)]
 
 
 def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:

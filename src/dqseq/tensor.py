@@ -424,13 +424,14 @@ def straight_through(x, values) -> Tensor:
     """Output carries `values`; the gradient passes to x unchanged.
 
     This is the estimator that lets quantized forwards train a
-    full-precision master copy.
+    full-precision master copy. A float32 `values` array becomes the
+    output's data without a copy, so pass a buffer nothing else writes.
     """
     x = _as_tensor(x)
     vals = np.asarray(values, dtype=np.float32)
     if vals.shape != x.shape:
         raise ShapeError(f"straight_through values {vals.shape} != input {x.shape}")
-    return _record("straight_through", vals.copy(), (x,), lambda g: (g,))
+    return _record("straight_through", vals, (x,), lambda g: (g,))
 
 
 def sum_all(a) -> Tensor:

@@ -1,5 +1,6 @@
 """Round-trip and corruption tests for the binary checkpoint format."""
 
+import hashlib
 import os
 import re
 import stat
@@ -332,16 +333,78 @@ def test_malformed_config_block_is_rejected(tmp_path, edit):
 
 def test_config_block_without_row_wise_loads_per_tensor(tmp_path):
     path = str(tmp_path / "old.ckpt")
-    model = init_model(SMALL, seed=4)
-    save_checkpoint(path, model.params, small_meta(quant_config=QuantConfig(2, 2, 8)))
+    stored = quantize_params(init_model(SMALL, seed=4).params, categories(SMALL),
+                             QuantConfig(2, 2, 8))
+    save_checkpoint(path, stored, small_meta(quant_config=QuantConfig(2, 2, 8)))
     blob = open(path, "rb").read()
     old = with_config(blob, lambda c: c.replace(b', "row_wise": false', b""))
     assert b"row_wise" not in old
     back, meta = load_model(write(path, old))
     assert meta.quant_config == QuantConfig(2, 2, 8)
     assert meta.quant_config.row_wise is False
-    for name, t in model.params.items():
-        np.testing.assert_array_equal(back.params[name].data, t.data)
+    for name, value in stored.items():
+        expect = value.values() if isinstance(value, QuantizedTensor) else value.data
+        np.testing.assert_array_equal(back.params[name].data, expect)
+
+
+# a stored set is refused unless each record is stored as its config says:
+# quant_config.bits_for(category) wide, with row_wise_for(shape) scales
+
+
+def refusal(have_bits, have_rank, label, row_wise, want_bits, want_rank) -> str:
+    shape = r"\(\d+, \d+\)"
+    return (rf"\({shape}, {have_bits}, {have_rank}\); config {label}, row_wise={row_wise} "
+            rf"gives \({shape}, {want_bits}, {want_rank}\)")
+
+
+def test_build_model_refuses_float32_records_under_a_quantized_config(tmp_path):
+    # a student file written as its float32 master would otherwise be scored at 32 bits
+    path = str(tmp_path / "master.ckpt")
+    save_checkpoint(path, init_model(SMALL, seed=4).params,
+                    small_meta(quant_config=QuantConfig(2, 2, 8)))
+    with pytest.raises(CheckpointError, match=refusal(32, 0, "2-2-8", False, 2, 0)):
+        load_model(path)
+
+
+@pytest.mark.parametrize("stored_qc, meta_qc, match", [
+    (QuantConfig(4, 4, 8), QuantConfig(2, 2, 8), refusal(4, 0, "2-2-8", False, 2, 0)),
+    (QuantConfig(2, 8, 8), QuantConfig(2, 4, 8), refusal(8, 0, "2-4-8", False, 4, 0)),
+    (QuantConfig(2, 2, 8), QuantConfig(), refusal(2, 0, "32-32-32", False, 32, 0)),
+], ids=["4-under-2", "8-under-4", "2-under-32"])
+def test_build_model_refuses_quantized_records_of_another_width(stored_qc, meta_qc, match):
+    stored = quantize_params(init_model(SMALL, seed=4).params, categories(SMALL), stored_qc)
+    with pytest.raises(CheckpointError, match=match):
+        build_model(stored, small_meta(quant_config=meta_qc))
+
+
+@pytest.mark.parametrize("row_wise", [False, True])
+def test_build_model_refuses_alpha_rank_the_config_does_not_give(row_wise):
+    stored = quantize_params(init_model(SMALL, seed=4).params, categories(SMALL),
+                             QuantConfig(2, 4, 8, row_wise=row_wise))
+    meta = small_meta(quant_config=QuantConfig(2, 4, 8, row_wise=not row_wise))
+    have, want = int(row_wise), int(not row_wise)
+    with pytest.raises(CheckpointError,
+                       match=refusal(r"\d", have, "2-4-8", not row_wise, r"\d", want)):
+        build_model(stored, meta)
+
+
+# sha256 of the file save_checkpoint writes for quantize_params(init_model(SMALL, 13)):
+# a quantizer or codec change that moves one byte of a saved file fails here
+FROZEN_SHA256 = {
+    QuantConfig(2, 2, 8): "02aae6e99845f8f0dbe1b8c5ea35f98905d986a85535df8367705ad5cd7b82f7",
+    QuantConfig(4, 4, 8): "a9f2e1fb38bcf1f1ed47fb6c50b24b49d9adc2c88fb1c95cfb93979efb2244b7",
+    QuantConfig(8, 8, 8): "2928a1c048041bcdc9b33f77c165283a3d4cd8f9fbbe8fdbb815fda19aa9e4a4",
+    QuantConfig(2, 4, 8, row_wise=True):
+        "344e4dfedb1a64798b17b81224963bfe61bddc52c410e2498dd69a4556de1e1e",
+}
+
+
+@pytest.mark.parametrize("qc", list(FROZEN_SHA256), ids=lambda qc: qc.label + "rw" * qc.row_wise)
+def test_saved_bytes_are_frozen(tmp_path, qc):
+    stored = quantize_params(init_model(SMALL, seed=13).params, categories(SMALL), qc)
+    path = tmp_path / "frozen.ckpt"
+    save_checkpoint(str(path), stored, small_meta(quant_config=qc))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_SHA256[qc]
 
 
 def test_build_model_rejects_wrong_shapes():

@@ -198,6 +198,37 @@ def test_row_wise_matches_per_row_calls():
         quantize(np.ones(3, np.float32), 8, row_wise=True)
 
 
+TINY = np.float32(1e-45)  # the smallest float32 subnormal
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_row_wise_matches_oracle_bit_exact_on_edge_rows(bits):
+    w = np.random.default_rng(bits).normal(size=(7, 12)).astype(np.float32)
+    w[1] = 0.0
+    w[2] = -0.0
+    w[3] = TINY  # 0.7 * mean|w| rounds up to TINY itself: no element lies above delta
+    w[4, ::2] = -0.0
+    w[5] = [127.0, 63.5, -63.5, 0.5, -0.5, 2.5, -2.5, 1.5, -0.0, 0.0, 126.5, -126.5]
+    w[6] = 3e-45  # a linear scale that underflows
+    q = quantize(w, bits, row_wise=True)
+    for r, row in enumerate(w):
+        if bits == 2:
+            alpha, codes = oracles.ref_twn_quantize(row)
+        else:
+            alpha, codes = oracles.ref_linear_quantize(row, bits)
+        assert q.alpha[r].tobytes() == np.float32(alpha).tobytes(), r
+        assert np.array_equal(q.codes[r], codes), r
+    assert np.flatnonzero(q.alpha == 0).tolist() == ([1, 2, 3] if bits == 2 else [1, 2, 3, 6])
+
+
+def test_twn_signed_zeros_match_oracle_bit_exact():
+    for w in (np.float32([-0.0, 0.0, 1.0, -2.0, -0.0, 0.5]), np.full(5, -0.0, np.float32)):
+        q = twn_quantize(w)
+        alpha, codes = oracles.ref_twn_quantize(w)
+        assert q.alpha.tobytes() == np.float32(alpha).tobytes()
+        assert np.array_equal(q.codes, codes)
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -227,6 +258,30 @@ def test_activation_8bit_error_bound_and_ste():
     assert np.array_equal(x.grad, np.ones_like(x.data))
     with pytest.raises(ValueError, match="a_bits"):
         quantize_activation(x, 4)
+
+
+def test_activation_signed_zeros_and_halves_match_oracle():
+    # max|row| is 127 or 0, so alpha is exactly 1 or the row passes through
+    x = np.float32([[-0.0, 0.0, 127.0, -50.2, 0.3, -1e-9],
+                    [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+                    [0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+                    [-127.0, -0.0, 2.5, -2.5, 63.5, 0.0]])
+    y = quantize_activation(Tensor(x), 8).data
+    _, ref_codes = oracles.ref_quantize_activation(x)
+    alpha = np.abs(x).max(axis=-1, keepdims=True) / np.float32(127)
+    assert np.array_equal(y, np.where(alpha > 0, ref_codes.astype(np.float32) * alpha, x))
+    # rounding half away from zero keeps the input's sign, zeros included
+    assert np.array_equal(np.signbit(y), np.signbit(x))
+
+
+def test_activation_output_does_not_alias_its_input():
+    data = np.float32([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])  # the zero row passes through
+    x = Tensor(data.copy(), requires_grad=True)
+    with Tape():
+        y = quantize_activation(x, 8)
+    assert not np.shares_memory(y.data, x.data)
+    y.data[...] = 7.0
+    assert np.array_equal(x.data, data)
 
 
 # ---------------------------------------------------------------------------
