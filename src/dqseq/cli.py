@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .checkpoint import CheckpointError, load_checkpoint, load_model
+from .checkpoint import CheckpointError, load_model
 from .distiller import DistillConfig
 from .harness import HarnessError, RunManifest, run_experiment, write_table
 from .metrics import bart_base_param_specs, footprint
@@ -108,8 +108,8 @@ def _cmd_train_teacher(args) -> int:
 def _cmd_compress(args) -> int:
     if not os.path.exists(args.teacher):
         raise HarnessError(f"teacher checkpoint not found: {args.teacher}")
-    _, tmeta = load_checkpoint(args.teacher)
-    tcfg = tmeta.model_config
+    teacher, _ = load_model(args.teacher)  # read once, handed to run_experiment
+    tcfg = teacher.config
     if args.mode in ("quant_only", "direct_quant"):
         dconfig = None
     else:
@@ -125,7 +125,7 @@ def _cmd_compress(args) -> int:
         teacher_path=args.teacher,
         out_path=args.out,
     )
-    row = run_experiment(manifest, log_path=args.log)
+    row = run_experiment(manifest, log_path=args.log, teacher=teacher)
     if args.manifest:
         manifest.save(args.manifest)
     _print_row(row)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from .checkpoint import CheckpointError, build_model, load_model, save_checkpoint
 from .distiller import DistillConfig
 from .metrics import footprint
-from .model import ModelConfig, param_specs
+from .model import ModelConfig, SeqModel, param_specs
 from .quantizer import QuantConfig, quantize_params
 from .tasks import TaskError, TaskSpec, generate_task
 from .trainer import TrainConfig, TrainError, evaluate, train
@@ -106,24 +106,23 @@ class RunManifest:
             return cls.from_json(fh.read())
 
 
-def run_experiment(manifest: RunManifest, log_path: str | None = None) -> dict:
+def run_experiment(manifest: RunManifest, log_path: str | None = None,
+                   teacher: SeqModel | None = None) -> dict:
     """Run one manifest end to end and fill in its result row.
 
-    Student modes resolve the teacher checkpoint before anything else, so a
-    missing file fails fast. The master is quantized once; the row scores
-    that stored set and out_path receives it. The footprint ratio compares
-    against the teacher's architecture at 32 bits (ratio 1 for teachers).
+    Student modes load teacher_path first, so a missing file fails fast,
+    unless the caller passes the teacher it already loaded from there. The
+    master is quantized once; the row scores that stored set and out_path
+    receives it. The footprint ratio is against the teacher at 32 bits (1 for teachers).
     """
     mode = manifest.train_config.mode
     tag = manifest.content_hash()[:12]
     start = time.perf_counter()
 
-    teacher = None
-    baseline = None
     if mode == "teacher":
         if manifest.model_config is None:
             raise HarnessError(f"manifest {tag}: teacher runs need a model_config")
-    else:
+    elif teacher is None:
         if not manifest.teacher_path:
             raise HarnessError(f"manifest {tag}: mode={mode} needs a teacher checkpoint")
         if not os.path.exists(manifest.teacher_path):
@@ -134,7 +133,7 @@ def run_experiment(manifest: RunManifest, log_path: str | None = None) -> dict:
             teacher, _ = load_model(manifest.teacher_path)
         except CheckpointError as exc:
             raise HarnessError(f"manifest {tag}: {exc}") from exc
-        baseline = teacher.config
+    baseline = None if teacher is None else teacher.config
 
     try:
         splits = generate_task(manifest.task)

@@ -1,8 +1,9 @@
 """Dense float32 tensors with reverse-mode autodiff on an explicit tape.
 
 Shapes are static, storage is row-major float32, and every differentiable
-op records one node on the active tape. backward() replays the tape in
-reverse order, accumulating gradients additively; zeroing is explicit.
+op records one node on the active tape: its parents and a backward closure
+that keeps only what backward reads. backward() consumes the tape in reverse,
+freeing each node, and adds gradients to leaves' .grad; zeroing is explicit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """backward() misuse: non-scalar loss, or loss not recorded on a tape."""
+    """backward() misuse: non-scalar loss, loss off any tape, or a consumed tape."""
 
 
 _TAPE_STACK: list["Tape | None"] = []
@@ -72,12 +73,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "out", "backward")
+    __slots__ = ("op", "parents", "backward")
 
-    def __init__(self, op, inputs, out, backward):
+    def __init__(self, op, parents, backward):
         self.op = op
-        self.inputs = inputs
-        self.out = out
+        self.parents = parents
         self.backward = backward
 
 
@@ -99,13 +99,6 @@ class Tape:
     def __len__(self):
         return len(self.nodes)
 
-    def first_nonfinite(self) -> tuple[int, str] | None:
-        """(index, op name) of the earliest node whose output has NaN/Inf."""
-        for i, node in enumerate(self.nodes):
-            if not np.all(np.isfinite(node.out.data)):
-                return i, node.op
-        return None
-
 
 def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
@@ -126,51 +119,51 @@ def _as_tensor(x) -> Tensor:
 
 
 def _record(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    if _NAN_CHECKS and not np.all(np.isfinite(out_data)):
-        raise FloatingPointError(f"non-finite values produced by op {op!r}")
-    out = Tensor(out_data)
     tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    recorded = tape is not None and any(t.requires_grad for t in inputs)
+    if _NAN_CHECKS and not np.all(np.isfinite(out_data)):
+        at = f" (node {len(tape.nodes)})" if recorded else ""
+        raise FloatingPointError(f"non-finite values produced by op {op!r}{at}")
+    out = Tensor(out_data)
+    if recorded:
         out.requires_grad = True
         out._tape = tape
         out._node_index = len(tape.nodes)
-        tape.nodes.append(_Node(op, inputs, out, backward))
+        # a parent is its node's index if made on this tape, else the leaf itself
+        parents = tuple(t._node_index if t._tape is tape else t if t.requires_grad else None
+                        for t in inputs)
+        tape.nodes.append(_Node(op, parents, backward))
     return out
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # Gradient buffers are never mutated in place; reuse-by-aliasing is safe.
-    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor) -> None:
     """Reverse pass from a scalar loss through the tape that recorded it.
 
-    Visits each recorded node exactly once, in reverse construction order.
-    Gradients of every requires_grad tensor reachable from the loss are
-    accumulated additively into .grad.
+    Runs each node up to the loss once, in reverse construction order, then
+    drops its closure and parents, so a tape is consumed once. Leaves (no
+    node of this tape made them) get their gradients' sum added to .grad.
     """
     if loss.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape = loss._tape
     if tape is None:
         raise TapeError("loss was not recorded on an active tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(tape.nodes[: loss._node_index + 1]):
-        g = grads.pop(id(node.out), None)
-        if g is None:
-            continue
-        leaves.pop(id(node.out), None)
-        _accumulate(node.out, g)
-        for t, ig in zip(node.inputs, node.backward(g)):
-            if ig is None or not t.requires_grad:
-                continue
-            key = id(t)
-            grads[key] = ig if key not in grads else grads[key] + ig
-            leaves[key] = t
-    for key, g in grads.items():
-        _accumulate(leaves[key], g)
+    grads: list = [None] * loss._node_index + [np.ones_like(loss.data)]
+    leaves: dict[Tensor, np.ndarray] = {}  # summed in arrival order
+    for i in range(loss._node_index, -1, -1):
+        node, g, grads[i] = tape.nodes[i], grads[i], None
+        if g is not None:
+            if node.backward is None:
+                raise TapeError("the tape was already consumed by an earlier backward")
+            for p, ig in zip(node.parents, node.backward(g)):
+                if type(p) is int and ig is not None:
+                    grads[p] = ig if grads[p] is None else grads[p] + ig
+                elif p is not None and ig is not None:
+                    leaves[p] = ig if p not in leaves else leaves[p] + ig
+        node.backward = node.parents = None
+    for t, g in leaves.items():
+        # gradient buffers are never mutated in place; reuse-by-aliasing is safe
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +212,9 @@ def linear(x, w, b) -> Tensor:
         gw = X.reshape(-1, X.shape[-1]).T @ g2 if need_w else None
         return gx, gw, (g2.sum(axis=0) if need_b else None)
 
-    return _record("linear", X @ W + b.data, (x, w, b), bwd)
+    out = X @ W
+    out += b.data
+    return _record("linear", out, (x, w, b), bwd)
 
 
 def add(a, b) -> Tensor:
@@ -256,14 +251,24 @@ def gelu(a) -> Tensor:
     """tanh-approximate GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # in-place chains that round as the written formulas do, term by term
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
 
     def bwd(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * d,)
+        # 0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x), in that order
+        d = np.subtract(1.0, t * t)
+        d *= 0.5 * x
+        d *= _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+        d += 0.5 * (1.0 + t)
+        d *= g
+        return (d,)
 
     return _record("gelu", out, (a,), bwd)
 
@@ -276,23 +281,27 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
         )
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    # add.reduce(...) / d rounds as .mean does, without its float64 divisor
+    x, G = a.data, gain.data
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    np.multiply(xhat, G, out=out)
+    out += bias.data
 
     def bwd(g):
-        dxhat = g * gain.data
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        dx = g * G
+        tmp = g * xhat
+        dgain = tmp.reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        mean_dx = np.add.reduce(dx, axis=-1, keepdims=True) / d
+        np.multiply(dx, xhat, out=tmp)
+        np.multiply(xhat, np.add.reduce(tmp, axis=-1, keepdims=True) / d, out=tmp)
+        dx -= mean_dx
+        dx -= tmp
+        dx *= inv
         return dx, dgain, dbias
 
     return _record("layer_norm", out, (a, gain, bias), bwd)
@@ -310,11 +319,16 @@ def embedding_gather(table, ids) -> Tensor:
         if lo < 0 or hi >= v:
             bad = lo if lo < 0 else hi
             raise IndexError(f"token id {bad} out of range [0, {v})")
-    out = table.data[idx.reshape(-1)].reshape(idx.shape + (d,))
+    flat = idx.reshape(-1)
+    out = table.data[flat].reshape(idx.shape + (d,))
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, d))
+        # each id's rows summed from 0 in order, as np.add.at does, one reduce per id
+        order = np.argsort(flat, kind="stable")
+        ids, starts = np.unique(flat[order], return_index=True)
+        gt = np.zeros((v, d), np.float32)
+        for i, rows in zip(ids, np.split(g.reshape(-1, d)[order], starts[1:])):
+            gt[i] = np.add.reduce(rows, axis=0, initial=0.0)
         return (gt,)
 
     return _record("embedding_gather", out, (table,), bwd)
@@ -357,19 +371,21 @@ def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
     qh = _to_heads(q.data, n_heads)
     kt = _to_heads(k.data, n_heads, (0, 2, 3, 1))  # [B, H, dh, Lk]
     scale, keep = 1.0 / math.sqrt(q.shape[2] // n_heads), np.asarray(key_mask, dtype=bool)
-    raw = (qh @ kt) * scale
+    raw = qh @ kt
+    raw *= scale
     out = np.where(keep, raw, np.float32(fill))
     if out.shape != raw.shape:
         raise ShapeError(f"mask {keep.shape} does not broadcast to {raw.shape}")
+    q_shape, k_shape = q.shape, k.shape
     need_q, need_k = q.requires_grad, k.requires_grad
 
     def bwd(g):
         g = (g * keep) * scale
         gq = gk = None
         if need_q:
-            gq = (g @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(q.shape)
+            gq = (g @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(q_shape)
         if need_k:
-            gk = (np.swapaxes(qh, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(k.shape)
+            gk = (np.swapaxes(qh, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(k_shape)
         return gq, gk
 
     return _record("attention_scores", out, (q, k), bwd)
@@ -385,23 +401,27 @@ def attention_context(scores, v, n_heads: int, rate: float,
             or s.shape[3] != v.shape[1] or v.shape[2] % n_heads:
         raise ShapeError(f"attention_context needs [B, H, Lq, Lk] scores and [B, Lk, D] "
                          f"values; got {s.shape} and {v.shape}")
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = s - s.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     keep = _dropout_keep(y.shape, rate, rng) if rate else None
     probs = y if keep is None else y * keep
     vh = _to_heads(v.data, n_heads)
     ctx = np.ascontiguousarray((probs @ vh).transpose(0, 2, 1, 3))  # [B, Lq, H, dh]
+    ctx_shape, v_shape = ctx.shape, v.shape
     need_s, need_v = scores.requires_grad, v.requires_grad
 
     def bwd(g):
-        gh = g.reshape(ctx.shape).transpose(0, 2, 1, 3)
+        gh = g.reshape(ctx_shape).transpose(0, 2, 1, 3)
         gs = gv = None
         if need_s:
-            gp = gh @ np.swapaxes(vh, -1, -2)
-            gp = gp if keep is None else gp * keep
-            gs = y * (gp - (gp * y).sum(axis=-1, keepdims=True))
+            gs = gh @ np.swapaxes(vh, -1, -2)
+            if keep is not None:
+                gs *= keep
+            gs -= (gs * y).sum(axis=-1, keepdims=True)
+            gs *= y
         if need_v:
-            gv = (np.swapaxes(probs, -1, -2) @ gh).transpose(0, 2, 1, 3).reshape(v.shape)
+            gv = (np.swapaxes(probs, -1, -2) @ gh).transpose(0, 2, 1, 3).reshape(v_shape)
         return gs, gv
 
     return _record("attention_context", ctx.reshape(s.shape[0], s.shape[2], -1), (scores, v), bwd)
@@ -437,8 +457,8 @@ def straight_through(x, values) -> Tensor:
 def sum_all(a) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     a = _as_tensor(a)
-    out = np.asarray(a.data.sum(), dtype=np.float32)
-    return _record("sum_all", out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(np.float32),))
+    out, shape = np.asarray(a.data.sum(), dtype=np.float32), a.shape
+    return _record("sum_all", out, (a,), lambda g: (np.broadcast_to(g, shape).astype(np.float32),))
 
 
 def mse(a, b, mask=None) -> Tensor:
@@ -460,7 +480,8 @@ def mse(a, b, mask=None) -> Tensor:
     diff = a.data - b.data
     if count == 0:
         out = np.float32(0.0)
-        zero = lambda g: (np.zeros_like(a.data), np.zeros_like(b.data))
+        shapes = a.shape, b.shape
+        zero = lambda g: tuple(np.zeros(s, np.float32) for s in shapes)
         return _record("mse", np.asarray(out), (a, b), zero)
     if mask is not None:
         diff = diff * mask
@@ -498,7 +519,7 @@ def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
             "cross_entropy",
             np.asarray(np.float32(0.0)),
             (logits,),
-            lambda g: (np.zeros_like(logits.data),),
+            lambda g: (np.zeros((n, v), np.float32),),
         )
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -508,7 +529,7 @@ def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
 
     def bwd(g):
         p = np.exp(logp)
-        gl = np.zeros_like(logits.data)
+        gl = np.zeros((n, v), np.float32)
         gl[rows] = p[rows]
         gl[rows, t[valid]] -= 1.0
         return ((g / k) * gl,)

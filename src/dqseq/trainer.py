@@ -7,6 +7,7 @@ update to the master parameters through the straight-through estimator.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -18,7 +19,7 @@ from .metrics import accuracy, rouge_scores
 from .model import ModelConfig, SeqModel, forward, greedy_decode_batch, init_model
 from .quantizer import QuantConfig, quantize_model
 from .tasks import BOS, EOS, PAD, Dataset, Splits, detokenize, seq2seq_batch
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import Tape, Tensor, backward, no_grad, set_nan_checks
 
 MODES = ("teacher", "dq", "quant_only", "distill_only", "sf", "direct_quant")
 
@@ -153,28 +154,37 @@ def distillation_aware_step(
     """
     src, dec_in, labels = batch
     master.zero_grad()
-    with Tape() as tape:
+
+    def student(rng):
         view = quantize_model(master, qconfig)
-        strace = forward(view, src, dec_in, PAD, a_bits=qconfig.a_bits, training=True, rng=rng)
-        if teacher is None or task_only:
-            bd = total_loss(strace, None, labels, None, PAD)
-        else:
+        return forward(view, src, dec_in, PAD, a_bits=qconfig.a_bits, training=True, rng=rng)
+
+    replay_rng = copy.deepcopy(rng)
+    with Tape():
+        strace = student(rng)
+        ttrace = None
+        if teacher is not None and not task_only:
+            # after the student's forward: its trace then sits above the student's
+            # activations, so backward's frees leave less heap top for glibc to trim
             with no_grad():
                 ttrace = forward(teacher, src, dec_in, PAD)
-            bd = total_loss(strace, ttrace, labels, layer_map, PAD)
+        bd = total_loss(strace, ttrace, labels, layer_map, PAD)
     if not np.isfinite(bd.total.item()):
-        where = tape.first_nonfinite()
-        at = f"first non-finite tensor from op {where[1]!r} (node {where[0]})" if where else "origin unknown"
+        # The tape keeps no op outputs, so replay the loss, with the same
+        # dropout draws, under per-op checks that name the first non-finite op.
+        set_nan_checks(True)
+        try:
+            with Tape():
+                total_loss(student(replay_rng), ttrace, labels, layer_map, PAD)
+            at = "origin unknown"
+        except FloatingPointError as err:
+            at = str(err)
+        finally:
+            set_nan_checks(False)
         raise TrainError(f"non-finite loss {bd.total.item()}: {at}")
     backward(bd.total)
     scale = clip_scale(global_grad_norm(master.params), grad_clip)
     optimizer.update(master.params, lr, scale)
-    # Each output tensor refers back to its tape and the tape's nodes to the
-    # outputs; emptying the tape breaks that cycle, so the step's activations
-    # are freed now rather than at some later GC pass. Freeing them after the
-    # update, with the optimizer's new state allocated above them, keeps
-    # glibc from trimming the heap and faulting the pages in again next step.
-    tape.nodes.clear()
     return bd
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dqseq import checkpoint
 from dqseq.checkpoint import load_checkpoint, load_model
 from dqseq.cli import main
 from dqseq.harness import TABLE_COLUMNS, RunManifest
@@ -126,6 +127,23 @@ def test_eval_has_no_bit_flags_and_reports_the_stored_widths(teacher_ckpt, capsy
     assert "usage" in capsys.readouterr().err
     assert main(["eval", "--ckpt", teacher_ckpt, *TASK]) == 0
     assert "weights 32-32-32" in capsys.readouterr().out.splitlines()[0]
+
+
+@pytest.mark.parametrize("mode", ["dq", "direct_quant"])
+def test_compress_reads_the_teacher_checkpoint_once(tmp_path, teacher_ckpt, capsys, monkeypatch,
+                                                    mode):
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "open", counting_open, raising=False)
+    assert main(["compress", *TASK, *FAST, "--teacher", teacher_ckpt, "--mode", mode,
+                 "--w-bits", "8", "--e-bits", "8", "--a-bits", "8",
+                 "--out", str(tmp_path / "s.ckpt")]) == 0
+    capsys.readouterr()
+    assert reads.count(teacher_ckpt) == 1, reads
 
 
 def test_compress_missing_teacher_fails(tmp_path, capsys):

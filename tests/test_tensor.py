@@ -1,6 +1,8 @@
 """Tensor engine: op semantics, frozen examples, gradients vs finite differences."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ from dqseq.tensor import (
     sum_all,
     transpose,
 )
+
+from dqseq.quantizer import QuantConfig
+from dqseq.trainer import Adam, distillation_aware_step
 
 import oracles
 
@@ -288,6 +293,64 @@ def test_backward_visits_each_node_once_in_reverse_order():
         backward(loss)
     assert visited == sorted(visited, reverse=True)
     assert len(visited) == len(set(visited)) == len(tape)
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    w = Tensor([3.0, 0.5], requires_grad=True)
+    with Tape() as tape:
+        a = mul(x, w)
+        b = add(a, x)  # x reaches the loss twice
+        loss = sum_all(mul(b, a))
+        backward(loss)
+    # loss = x^2 w (w + 1): d/dx = 2 x w (w + 1), d/dw = x^2 (2 w + 1)
+    assert np.array_equal(x.grad, np.float32([24.0, -3.0]))
+    assert np.array_equal(w.grad, np.float32([7.0, 8.0]))
+    assert a.grad is None and b.grad is None and loss.grad is None
+    assert all(node.backward is None and node.parents is None for node in tape.nodes)
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    x = Tensor([2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(mul(x, x))
+        backward(loss)
+        with pytest.raises(TapeError, match="consumed"):
+            backward(loss)
+        with pytest.raises(TapeError, match="consumed"):
+            backward(sum_all(scale(loss, 2.0)))  # a later loss reaching the consumed node
+    assert len(tape) == 4  # the count stays readable after backward
+    assert np.array_equal(x.grad, np.float32([4.0]))
+
+
+def test_ladder_dq_step_heap_peak_and_leaf_grads(ladder_dq_inputs):
+    # the tape holds only what backward reads and backward frees it as it
+    # goes, so one 2-2-8 dq step at the ladder shape peaks at about 14 MB
+    # above its resting heap, where holding every node's output and every
+    # intermediate gradient peaked at 31.5 MB
+    teacher, student, lmap, batch = ladder_dq_inputs
+    opt = Adam(student.params)
+
+    def step():
+        distillation_aware_step(student, teacher, batch, QuantConfig(2, 2, 8), lmap, opt, 1e-3)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        rest = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - rest
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak
+    digest = hashlib.sha256()
+    for name, t in student.params.items():
+        digest.update(name.encode())
+        digest.update(t.grad.tobytes())
+    # the third step's gradients, as the engine that kept every node's output produced them
+    assert digest.hexdigest() == "ca7da612158708bfc521584df8731629dee45deca4131954d24a58c29dab420f"
 
 
 def test_backward_is_deterministic():

@@ -1,5 +1,6 @@
 """Trainer: schedule, optimizer, step semantics, mode guards, smoke runs."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 from dqseq import trainer
-from dqseq.distiller import DistillConfig, LayerMap, init_student
+from dqseq.distiller import DistillConfig, LayerMap
 from dqseq.model import ModelConfig, forward, init_model
-from dqseq.quantizer import QuantConfig, linear_quantize
-from dqseq.tasks import TaskSpec, generate_task, seq2seq_batch
+from dqseq.quantizer import QuantConfig, linear_quantize, quantize_model
+from dqseq.tasks import PAD, TaskSpec, generate_task, seq2seq_batch
 from dqseq.tensor import Tape, Tensor, add, backward, mul, sum_all, straight_through
 from dqseq.trainer import (
     Adam,
@@ -168,17 +169,40 @@ def test_step_updates_master_not_teacher():
 
 def test_step_aborts_on_nonfinite_loss():
     teacher, master, batch, qc = step_setup()
-    master.params["embed.tok"].data[:] = 2e30  # overflow in the first matmul
+    master.params["embed.tok"].data[:] = 2e30  # the logits' squared error overflows
     opt = Adam(master.params)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainError, match="non-finite"):
+        with pytest.raises(TrainError, match="non-finite") as info:
             distillation_aware_step(
                 master, teacher, batch, qc, LayerMap((0,), (0,)), opt, lr=1e-3
             )
+    assert str(info.value).endswith("op 'mse' (node 52)"), info.value
+
+
+@pytest.mark.parametrize("qbits, node", [((32, 32, 32), 15), ((2, 2, 8), 35)])
+def test_nonfinite_diagnostic_names_an_output_no_one_keeps(qbits, node):
+    # the first non-finite output is the ffn's first linear, which nothing
+    # reads once gelu has run; naming it must not cost the caller rng draws
+    cfg = dataclasses.replace(SMALL, dropout_rate=0.1)
+    teacher = init_model(cfg, seed=0)
+    for t in teacher.params.values():
+        t.requires_grad = False
+    master = teacher.copy()
+    batch = seq2seq_batch(small_splits().train.pairs[:8])
+    master.params["enc.0.ffn.b1"].data[:] = np.inf
+    rng, fresh = np.random.default_rng(7), np.random.default_rng(7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainError, match="non-finite") as info:
+            distillation_aware_step(master, teacher, batch, QuantConfig(*qbits),
+                                    LayerMap((0,), (0,)), Adam(master.params), 1e-3, rng=rng)
+        forward(quantize_model(master, QuantConfig(*qbits)), *batch[:2], PAD, training=True,
+                rng=fresh, a_bits=qbits[2])
+    assert str(info.value).endswith(f"op 'linear' (node {node})"), info.value
+    assert rng.integers(1 << 62) == fresh.integers(1 << 62)
 
 
 def test_step_frees_its_activations_without_gc(monkeypatch):
-    # the tape is emptied after backward, so nothing waits for the cyclic GC
+    # nodes hold no outputs and backward consumes the tape, so nothing waits for the cyclic GC
     teacher, master, batch, qc = step_setup(qbits=(2, 2, 8))
     logits = []
     real_forward = trainer.forward
@@ -200,18 +224,10 @@ def test_step_frees_its_activations_without_gc(monkeypatch):
         gc.enable()
 
 
-def test_dq_step_tape_nodes_at_ladder_shape(monkeypatch):
+def test_dq_step_tape_nodes_at_ladder_shape(monkeypatch, ladder_dq_inputs):
     # one node per linear and two per attention core keep each block's
     # intermediates off the tape; the split-head chains recorded 263 nodes
-    ladder = ModelConfig(vocab_size=16, d_model=64, n_heads=4, d_ff=256,
-                         n_enc_layers=2, n_dec_layers=2, max_positions=16)
-    teacher = init_model(ladder, seed=0)
-    for t in teacher.params.values():
-        t.requires_grad = False
-    student, lmap = init_student(teacher, DistillConfig(2, 2))
-    splits = generate_task(TaskSpec("copy", vocab_size=16, max_len=12, train_size=32,
-                                    dev_size=4, test_size=4, seed=0))
-    batch = seq2seq_batch(splits.train.pairs)
+    teacher, student, lmap, batch = ladder_dq_inputs
     sizes = []
 
     class CountingTape(Tape):
