@@ -117,7 +117,10 @@ class QuantizedTensor:
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     """Round a float32 buffer half away from zero, in place; returns it."""
-    x += np.copysign(np.float32(0.5), x)
+    # 0.5 carrying x's sign bit, as np.copysign(0.5, x) gives, from two integer ops
+    half = x.view(np.uint32) & np.uint32(0x80000000)
+    half |= np.uint32(0x3F000000)
+    x += half.view(np.float32)
     return np.trunc(x, out=x)
 
 
@@ -204,7 +207,7 @@ def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
     if x.size == 0:
         return x
     data = x.data
-    alpha = np.abs(data).max(axis=-1, keepdims=True)
+    alpha = np.max(np.abs(data), axis=-1, keepdims=True, initial=0.0)
     alpha /= np.float32(127)
     zero = alpha == 0.0
     any_zero = bool(zero.any())

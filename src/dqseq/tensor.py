@@ -8,6 +8,7 @@ freeing each node, and adds gradients to leaves' .grad; zeroing is explicit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 
@@ -21,6 +22,28 @@ class ShapeError(ValueError):
 class TapeError(RuntimeError):
     """backward() misuse: non-scalar loss, loss off any tape, or a consumed tape."""
 
+
+def _keep_freed_memory_mapped() -> None:
+    """Fix glibc malloc's mmap and trim thresholds at 32 and 64 MiB.
+
+    backward() frees a step's activations as it goes, so a step ends with
+    the top of the heap free. Under glibc's starting thresholds that top
+    went back to the kernel and the next forward faulted it in again: about
+    1,400 minor faults and 3 ms of system time per ladder-shape dq step.
+    32 and 64 MiB are where glibc's own dynamic thresholds stop on 64-bit
+    (trim = 2 x mmap), so a step's freed memory stays mapped for the next.
+    Does nothing on a libc without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory_mapped()
 
 _TAPE_STACK: list["Tape | None"] = []
 _NAN_CHECKS = False
@@ -263,10 +286,18 @@ def gelu(a) -> Tensor:
 
     def bwd(g):
         # 0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x), in that order
-        d = np.subtract(1.0, t * t)
-        d *= 0.5 * x
-        d *= _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-        d += 0.5 * (1.0 + t)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        e = np.multiply(x, 0.5)
+        d *= e
+        np.multiply(x, 3.0 * 0.044715, out=e)
+        e *= x
+        e += 1.0
+        e *= _GELU_C
+        d *= e
+        np.add(t, 1.0, out=e)
+        e *= 0.5
+        d += e
         d *= g
         return (d,)
 
@@ -371,16 +402,17 @@ def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
     qh = _to_heads(q.data, n_heads)
     kt = _to_heads(k.data, n_heads, (0, 2, 3, 1))  # [B, H, dh, Lk]
     scale, keep = 1.0 / math.sqrt(q.shape[2] // n_heads), np.asarray(key_mask, dtype=bool)
-    raw = qh @ kt
-    raw *= scale
-    out = np.where(keep, raw, np.float32(fill))
-    if out.shape != raw.shape:
-        raise ShapeError(f"mask {keep.shape} does not broadcast to {raw.shape}")
+    out = qh @ kt
+    out *= scale
+    if np.broadcast_shapes(keep.shape, out.shape) != out.shape:
+        raise ShapeError(f"mask {keep.shape} does not broadcast to {out.shape}")
+    np.copyto(out, np.float32(fill), where=~keep)
     q_shape, k_shape = q.shape, k.shape
     need_q, need_k = q.requires_grad, k.requires_grad
 
     def bwd(g):
-        g = (g * keep) * scale
+        g = g * keep
+        g *= scale
         gq = gk = None
         if need_q:
             gq = (g @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(q_shape)
@@ -401,7 +433,9 @@ def attention_context(scores, v, n_heads: int, rate: float,
             or s.shape[3] != v.shape[1] or v.shape[2] % n_heads:
         raise ShapeError(f"attention_context needs [B, H, Lq, Lk] scores and [B, Lk, D] "
                          f"values; got {s.shape} and {v.shape}")
-    y = s - s.max(axis=-1, keepdims=True)
+    # the keys' max plane by plane over a [Lk, ...] copy: exact, since max ignores order
+    # (and a +-0 max gives the same exp), and far faster than a reduce over short rows
+    y = s - np.maximum.reduce(np.ascontiguousarray(np.moveaxis(s, -1, 0)), axis=0)[..., None]
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     keep = _dropout_keep(y.shape, rate, rng) if rate else None

@@ -7,7 +7,6 @@ update to the master parameters through the straight-through estimator.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -113,18 +112,25 @@ class Adam:
         for name, t in params.items():
             if t.grad is None:
                 continue
+            m, v = self.m[name], self.v[name]
             g = t.grad * grad_scale
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
-            step = lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + ADAM_EPS)
-            t.data -= step.astype(np.float32)
+            # in place, rounding as b1*m + (1-b1)*g and b2*v + ((1-b2)*g)*g do
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            gg = (1.0 - ADAM_BETA2) * g
+            gg *= g
+            v *= ADAM_BETA2
+            v += gg
+            t.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
     total = 0.0
     for t in params.values():
         if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
+            g = t.grad.astype(np.float64)
+            g *= g
+            total += float(g.sum())
     return math.sqrt(total)
 
 
@@ -159,19 +165,23 @@ def distillation_aware_step(
         view = quantize_model(master, qconfig)
         return forward(view, src, dec_in, PAD, a_bits=qconfig.a_bits, training=True, rng=rng)
 
-    replay_rng = copy.deepcopy(rng)
+    replay_state = None if rng is None else rng.bit_generator.state
     with Tape():
         strace = student(rng)
         ttrace = None
         if teacher is not None and not task_only:
-            # after the student's forward: its trace then sits above the student's
-            # activations, so backward's frees leave less heap top for glibc to trim
+            # after the student's forward, the order the step is measured in; with freed
+            # memory kept mapped (tensor.py), running it first no longer faults pages in
             with no_grad():
                 ttrace = forward(teacher, src, dec_in, PAD)
         bd = total_loss(strace, ttrace, labels, layer_map, PAD)
     if not np.isfinite(bd.total.item()):
         # The tape keeps no op outputs, so replay the loss, with the same
         # dropout draws, under per-op checks that name the first non-finite op.
+        replay_rng = None
+        if rng is not None:
+            replay_rng = np.random.Generator(type(rng.bit_generator)())
+            replay_rng.bit_generator.state = replay_state
         set_nan_checks(True)
         try:
             with Tape():

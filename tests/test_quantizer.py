@@ -15,6 +15,7 @@ from dqseq.quantizer import (
     quantize,
     quantize_activation,
     twn_quantize,
+    _round_half_away,
     unpack_codes,
 )
 from dqseq.tensor import Tape, Tensor, backward, sum_all
@@ -282,6 +283,22 @@ def test_activation_output_does_not_alias_its_input():
     assert not np.shares_memory(y.data, x.data)
     y.data[...] = 7.0
     assert np.array_equal(x.data, data)
+
+
+def test_sign_bit_rounding_matches_copysign_bit_for_bit():
+    # the 0.5 built from x's sign bit is np.copysign(0.5, x), NaNs and zeros included
+    tiny = np.finfo(np.float32).smallest_subnormal
+    normal = np.finfo(np.float32).tiny
+    nan = np.float32(np.nan)
+    x = np.float32([0.0, 0.5, 1.5, 2.5, 126.5, 0.49999997, tiny, 3 * tiny, normal,
+                    np.nextafter(normal, np.float32(0.0)), 8388609.0, np.inf,
+                    np.finfo(np.float32).max, nan])
+    x = np.concatenate([x, -x, [np.copysign(nan, np.float32(1.0))]])
+    assert set(np.signbit(x[np.isnan(x)])) == {False, True}
+    want = x + np.copysign(np.float32(0.5), x)
+    np.trunc(want, out=want)
+    got = _round_half_away(x.copy())
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,23 @@ def test_attention_scores_mask_values_and_grad():
         attention_scores(q, k, np.ones((1, 1, 2, 2, 2), bool), 1, -1e9)
 
 
+def test_attention_softmax_max_matches_row_max_on_masked_scores():
+    # the softmax's key max, taken plane by plane, equals s.max(axis=-1) bit for bit,
+    # on -1e9 fills, a fully masked row and rows whose max is a signed zero
+    rng = np.random.default_rng(5)
+    s, v = rand(rng, 2, 2, 3, 5), rand(rng, 2, 5, 4)
+    s[0, :, :, 3:] = -1e9
+    s[1, 0, 1] = -1e9
+    s[1, 1, 2] = [-0.0, -1.0, 0.0, -2.0, -0.0]
+    s[0, 1, 0] = [-3.0, -0.0, -1.0, -1e9, -1e9]
+    y = s - s.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    vh = np.ascontiguousarray(v.reshape(2, 5, 2, 2).transpose(0, 2, 1, 3))
+    want = np.ascontiguousarray((y @ vh).transpose(0, 2, 1, 3)).reshape(2, 3, 4)
+    assert np.array_equal(attention_context(Tensor(s), Tensor(v), 2, 0.0, None).data, want)
+
+
 def test_attention_context_dropout_draws_like_dropout():
     rng = np.random.default_rng(0)
     s, v = rand(rng, 2, 2, 3, 4), rand(rng, 2, 4, 6)

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import json
+import platform
+import statistics
 import weakref
 
 import numpy as np
@@ -101,6 +103,33 @@ def test_adam_does_not_mutate_gradients():
     opt.update(p, lr=0.1, grad_scale=0.001)
     assert p["w"].grad is g
     np.testing.assert_array_equal(g, np.full(4, 100.0, np.float32))
+
+
+def test_adam_in_place_matches_the_out_of_place_formula():
+    # m and v updated in place round as b1*m + (1-b1)*g and b2*v + (1-b2)*g*g do
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 6), "b": (6,)}
+    p = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+         for k, s in shapes.items()}
+    ref = {k: t.data.copy() for k, t in p.items()}
+    m = {k: np.zeros(s, np.float32) for k, s in shapes.items()}
+    v = {k: np.zeros(s, np.float32) for k, s in shapes.items()}
+    b1, b2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS
+    opt = Adam(p)
+    for step in range(1, 6):
+        lr, scale = 1e-2 / step, 0.5 + 0.25 * step
+        for t in p.values():
+            t.grad = (rng.normal(size=t.shape) * 10.0 ** rng.integers(-6, 3)).astype(np.float32)
+        for k, t in p.items():
+            g = t.grad * scale
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+            ref[k] -= (lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)).astype(np.float32)
+        opt.update(p, lr, scale)
+        for k, t in p.items():
+            assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
+            assert np.array_equal(t.data, ref[k])
 
 
 def test_grad_norm_and_clip_scale():
@@ -239,6 +268,28 @@ def test_dq_step_tape_nodes_at_ladder_shape(monkeypatch, ladder_dq_inputs):
     distillation_aware_step(student, teacher, batch, QuantConfig(2, 2, 8), lmap,
                             Adam(student.params), 1e-3)
     assert len(sizes) == 1 and sizes[0] <= 160, sizes
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc malloc's thresholds")
+def test_warm_dq_steps_keep_their_heap_mapped(ladder_dq_inputs):
+    # backward frees the step's activations; with the heap top trimmed after
+    # every step, the next forward faulted about 1,400 pages back in
+    import resource
+
+    teacher, student, lmap, batch = ladder_dq_inputs
+    opt = Adam(student.params)
+
+    def step():
+        distillation_aware_step(student, teacher, batch, QuantConfig(2, 2, 8), lmap, opt, 1e-3)
+
+    for _ in range(3):
+        step()
+    faults = []
+    for _ in range(10):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert statistics.median(faults) <= 50, faults
 
 
 # ---------------------------------------------------------------------------
