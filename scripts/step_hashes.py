@@ -10,7 +10,8 @@ hashes the parameters, every step's loss components, the greedy decodes
 of the dev sources through the 8-bit-activation view, and the bytes that
 save_checkpoint writes (through a temporary file) for the run's
 quantize_params set: the teacher's float32 master, each student's packed
-codes and scales. Two checkouts whose arithmetic, quantizer and codec agree
+codes and scales. It also hashes the float32 weights that load_model builds
+back from that file ("load"). Two checkouts whose arithmetic, quantizer and codec agree
 bit for bit print the same hashes; run it in each, from the checkout's root
 (the package is imported from its ``src/``), and diff the output. The last
 line of stdout is one JSON object.
@@ -30,7 +31,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import numpy as np  # noqa: E402
 
 from dqseq import trainer  # noqa: E402
-from dqseq.checkpoint import save_checkpoint  # noqa: E402
+from dqseq.checkpoint import load_model, save_checkpoint  # noqa: E402
 from dqseq.distiller import DistillConfig, init_student  # noqa: E402
 from dqseq.model import ModelConfig, greedy_decode_batch, init_model, param_specs  # noqa: E402
 from dqseq.quantizer import QuantConfig, quantize_model, quantize_params  # noqa: E402
@@ -74,8 +75,9 @@ def _decode_sha(model, qconfig, sources) -> str:
     return _sha(np.asarray(o + [-1], np.int64).tobytes() for o in outs)
 
 
-def _checkpoint_sha(model, qconfig, mode) -> str:
-    """The sha256 of the file save_checkpoint writes for model's quantize_params set."""
+def _checkpoint_shas(model, qconfig, mode) -> tuple[str, str]:
+    """The sha256s of the file save_checkpoint writes for model's quantize_params set
+    and of the weights load_model builds from that file."""
     categories = {name: cat for name, _, cat in param_specs(model.config)}
     stored = quantize_params(model.params, categories, qconfig)
     meta = trainer.CheckpointMeta(model.config, qconfig, None, trainer.TrainConfig(mode))
@@ -83,7 +85,8 @@ def _checkpoint_sha(model, qconfig, mode) -> str:
         path = os.path.join(tmp, "run.dqs")
         save_checkpoint(path, stored, meta)
         with open(path, "rb") as fh:
-            return _sha([fh.read()])
+            saved = _sha([fh.read()])
+        return saved, _params_sha(load_model(path)[0])
 
 
 def main() -> int:
@@ -100,23 +103,26 @@ def main() -> int:
         loss = _run(teacher, None, None, QuantConfig(), TEACHER_STEPS, 3e-3, batches, rng)
         for t in teacher.params.values():
             t.requires_grad = False
+        saved, loaded = _checkpoint_shas(teacher, QuantConfig(), "teacher")
         result[f"teacher/dropout={rate}"] = {
             "params": _params_sha(teacher), "losses": loss,
             "decode": _decode_sha(teacher, QuantConfig(32, 32, 8), sources),
-            "checkpoint": _checkpoint_sha(teacher, QuantConfig(), "teacher"),
+            "checkpoint": saved, "load": loaded,
         }
         for bits in ((2, 2, 8), (8, 8, 8)):
             qconfig = QuantConfig(*bits)
             student, lmap = init_student(teacher, DistillConfig(2, 2))
             loss = _run(student, teacher, lmap, qconfig, DQ_STEPS, 1e-3, batches, rng)
+            saved, loaded = _checkpoint_shas(student, qconfig, "dq")
             result[f"dq {qconfig.label}/dropout={rate}"] = {
                 "params": _params_sha(student), "losses": loss,
                 "decode": _decode_sha(student, qconfig, sources),
-                "checkpoint": _checkpoint_sha(student, qconfig, "dq"),
+                "checkpoint": saved, "load": loaded,
             }
     for name, row in result.items():
         print(f"{name:>24}  params {row['params'][:16]}  losses {row['losses'][:16]}  "
-              f"decode {row['decode'][:16]}  checkpoint {row['checkpoint'][:16]}")
+              f"decode {row['decode'][:16]}  checkpoint {row['checkpoint'][:16]}  "
+              f"load {row['load'][:16]}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

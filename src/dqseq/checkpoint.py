@@ -8,6 +8,11 @@ Tag 0 is raw float32. Tag 1 is quantized: u8 bits, u8 alpha rank,
 u64 alpha count, float32 alphas, then packed codes. The config block is one
 "key=json" line per field, sorted by key. Reading a malformed or truncated
 file raises CheckpointError.
+
+Loading reads the file once and walks it in zero-copy slices. A quantized
+record keeps a copy of its packed code bytes, and build_model dequantizes
+straight from them, one 256-row table lookup per byte; the int8 codes are
+unpacked only when something reads QuantizedTensor.codes (re-saving does).
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ import numpy as np
 
 from .distiller import DistillConfig
 from .model import ModelConfig, SeqModel, param_specs
-from .quantizer import (
-    PACKED_BITS, QuantConfig, QuantizedTensor, pack_codes, packed_size, unpack_codes,
-)
+from .quantizer import PACKED_BITS, QuantConfig, QuantizedTensor, pack_codes, packed_size
+from .quantizer import unpack_codes  # noqa: F401  unused here; bench/tracing.py wraps this name
 from .tensor import Tensor
 from .trainer import CheckpointMeta, TrainConfig, TrainError
 
@@ -115,25 +119,35 @@ def save_checkpoint(path: str, params: dict, meta: CheckpointMeta) -> None:
 
 
 class _Reader:
+    """Walks a file's bytes in zero-copy slices; reading past the end raises CheckpointError."""
+
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
         if self.pos + n > len(self.blob):
             raise CheckpointError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
                 f"file has {len(self.blob)}"
             )
-        out = self.blob[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> memoryview:
+        start = self._advance(n)
+        return self.blob[start : self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        """The fields of a little-endian struct format."""
+        return struct.unpack_from("<" + fmt, self.blob, self._advance(struct.calcsize("<" + fmt)))
+
+    def u64s(self, n: int) -> tuple[int, ...]:
+        start = self._advance(8 * n)  # first: a corrupt n can be any u64
+        return struct.unpack_from(f"<{n}Q", self.blob, start)
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
+        return self.u64s(1)[0]
 
     @property
     def exhausted(self) -> bool:
@@ -143,25 +157,25 @@ class _Reader:
 def load_checkpoint(path: str):
     """Read back (params, meta); the bit-exact inverse of save_checkpoint.
 
-    Quantized records come back as QuantizedTensor, everything else as a
-    trainable Tensor. Only build_model checks the set against the config's
-    inventory: a file cut at a record boundary loads here.
+    Quantized records come back as QuantizedTensor over their packed bytes,
+    everything else as a trainable Tensor. Only build_model checks the set
+    against the config's inventory: a file cut at a record boundary loads here.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
-    version = struct.unpack("<I", r.take(4))[0]
+    version = r.unpack("I")[0]
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    meta = _parse_config_block(r.take(r.u64()))
+    meta = _parse_config_block(bytes(r.take(r.u64())))
     params: dict[str, Tensor | QuantizedTensor] = {}
     while not r.exhausted:
         try:
-            name = r.take(r.u64()).decode("utf-8")
+            name = str(r.take(r.u64()), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"tensor name is not utf-8: {exc}") from exc
-        shape = tuple(r.u64() for _ in range(r.u64()))
+        shape = r.u64s(r.u64())
         try:
             params[name] = _read_payload(r, name, shape)
         except CheckpointError:
@@ -173,13 +187,13 @@ def load_checkpoint(path: str):
 
 def _read_payload(r: _Reader, name: str, shape: tuple[int, ...]):
     count = math.prod(shape)
-    tag = r.u8()
+    tag = r.unpack("B")[0]
     if tag == TAG_FLOAT32:
         data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
         return Tensor(data.copy(), requires_grad=True, name=name)
     if tag != TAG_QUANTIZED:
         raise CheckpointError(f"unknown dtype tag {tag} for tensor {name!r}")
-    bits, alpha_rank, n_scales = r.u8(), r.u8(), r.u64()
+    bits, alpha_rank, n_scales = r.unpack("BBQ")
     if bits not in PACKED_BITS:
         raise CheckpointError(f"tensor {name!r} has {bits}-bit codes, not one of {PACKED_BITS}")
     if alpha_rank > 1 or (alpha_rank == 0 and n_scales != 1):
@@ -188,9 +202,9 @@ def _read_payload(r: _Reader, name: str, shape: tuple[int, ...]):
         )
     payload = r.take(packed_size(count, bits, n_scales))
     alpha = np.frombuffer(payload, dtype="<f4", count=n_scales)
-    codes = unpack_codes(payload[alpha.nbytes:], bits, count)
     alpha = alpha[0] if alpha_rank == 0 else alpha.copy()
-    return QuantizedTensor(alpha, codes.reshape(shape), bits, shape)
+    # a copy of the codes' bytes, so that the file's buffer is freed once loading returns
+    return QuantizedTensor.from_packed(alpha, bytes(payload[4 * n_scales :]), bits, shape)
 
 
 def build_model(params: dict, meta: CheckpointMeta) -> SeqModel:

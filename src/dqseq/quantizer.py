@@ -7,6 +7,7 @@ gradients pass straight through to the full-precision master tensors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,43 +77,92 @@ class QuantConfig:
         return self.row_wise and len(shape) == 2
 
 
-@dataclass
 class QuantizedTensor:
     """Integer codes plus scale; value = alpha * codes, element by element.
 
     alpha is a float32 scalar, or a per-row float32 vector when the tensor
-    was quantized row-wise.
+    was quantized row-wise. The codes are an int8 array, or the packed bytes
+    a checkpoint stores (from_packed): those dequantize straight from the
+    bytes and are unpacked to codes only when codes is read.
     """
 
-    alpha: np.ndarray
-    codes: np.ndarray
-    bits: int
-    shape: tuple[int, ...]
+    def __init__(self, alpha, codes, bits: int, shape: tuple[int, ...]):
+        self._codes = np.asarray(codes, dtype=np.int8)
+        self._packed = None
+        self.bits = bits
+        self.shape = tuple(shape)
+        if self._codes.shape != self.shape:
+            raise ValueError(f"codes shape {self._codes.shape} != {self.shape}")
+        self.alpha = _checked_alpha(alpha, self.shape)
 
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float32)
-        self.codes = np.asarray(self.codes, dtype=np.int8)
-        self.shape = tuple(self.shape)
-        if self.codes.shape != self.shape:
-            raise ValueError(f"codes shape {self.codes.shape} != {self.shape}")
-        if np.any(self.alpha < 0):
-            raise ValueError("alpha must be nonnegative")
-        if self.alpha.ndim > 1 or (
-            self.alpha.ndim == 1 and (len(self.shape) != 2 or self.alpha.size != self.shape[0])
-        ):
-            raise ValueError(
-                f"alpha of shape {self.alpha.shape} fits neither one scale nor one per row "
-                f"of shape {self.shape}"
-            )
+    @classmethod
+    def from_packed(cls, alpha, packed: bytes, bits: int, shape: tuple[int, ...]):
+        """A tensor over pack_codes(codes, bits) bytes; ValueError if they hold too few."""
+        q = cls.__new__(cls)
+        q._codes, q._packed, q.bits, q.shape = None, packed, bits, tuple(shape)
+        if bits not in PACKED_BITS:
+            raise ValueError(f"packable widths are {PACKED_BITS}; got {bits}")
+        if len(packed) * 8 < q.size * bits:
+            raise ValueError(f"{len(packed)} bytes hold fewer than {q.size} {bits}-bit codes")
+        q.alpha = _checked_alpha(alpha, q.shape)
+        return q
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
     @property
     def n_scales(self) -> int:
         return int(self.alpha.size)
 
+    @property
+    def codes(self) -> np.ndarray:
+        if self._codes is None:
+            self._codes = unpack_codes(self._packed, self.bits, self.size).reshape(self.shape)
+        return self._codes
+
     def values(self) -> np.ndarray:
+        if self._codes is None:
+            return self._values_from_packed()
         if self.alpha.ndim == 0:
-            return (self.alpha * self.codes).astype(np.float32, copy=False)
-        return (self.alpha[:, None] * self.codes).astype(np.float32, copy=False)
+            return (self.alpha * self._codes).astype(np.float32, copy=False)
+        return (self.alpha[:, None] * self._codes).astype(np.float32, copy=False)
+
+    def _values_from_packed(self) -> np.ndarray:
+        # each byte gathers its 8 // bits float32 values from a 256-row table: alpha times
+        # the codes for one scale, else the bare codes, scaled by row afterwards. The gather
+        # goes in chunks, so that its intp copy of the indices stays small, and in mode
+        # "wrap", a no-op for byte indices that, unlike "raise", writes straight into out
+        u = np.frombuffer(self._packed, dtype=np.uint8)
+        table = _VALUE_TABLES[self.bits]
+        if self.alpha.ndim == 0:
+            table = self.alpha * table
+        per, count = table.shape[1], self.size
+        out = np.empty(count, np.float32)
+        full = count // per
+        grid = out[: full * per].reshape(full, per)
+        for s in range(0, full, _GATHER_CHUNK):
+            e = min(s + _GATHER_CHUNK, full)
+            np.take(table, u[s:e], axis=0, out=grid[s:e], mode="wrap")
+        tail = count - full * per  # codes in a last byte that pads
+        if tail:
+            out[-tail:] = table[u[full], :tail]
+        out = out.reshape(self.shape)
+        if self.alpha.ndim == 1:
+            out *= self.alpha[:, None]
+        return out
+
+
+def _checked_alpha(alpha, shape: tuple[int, ...]) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=np.float32)
+    if np.any(alpha < 0):
+        raise ValueError("alpha must be nonnegative")
+    if alpha.ndim > 1 or (alpha.ndim == 1 and (len(shape) != 2 or alpha.size != shape[0])):
+        raise ValueError(
+            f"alpha of shape {alpha.shape} fits neither one scale nor one per row "
+            f"of shape {shape}"
+        )
+    return alpha
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -262,13 +312,14 @@ def quantize_model(model, qconfig: QuantConfig):
 
 
 def _code_table(bits: int) -> np.ndarray:
-    """Byte b -> b's 8 // bits int8 codes as one word, built from and read back as int8."""
+    """Row b holds byte b's 8 // bits int8 codes, lowest field first."""
     fields = (np.arange(256)[:, None] >> (np.arange(8 // bits) * bits)) & ((1 << bits) - 1)
-    codes = np.where(fields >= 1 << (bits - 1), fields - (1 << bits), fields).astype(np.int8)
-    return codes.view(np.uint32 if bits == 2 else np.uint16).reshape(256)
+    return np.where(fields >= 1 << (bits - 1), fields - (1 << bits), fields).astype(np.int8)
 
 
-_CODE_TABLES = {2: _code_table(2), 4: _code_table(4)}
+_CODE_TABLES = {bits: _code_table(bits) for bits in PACKED_BITS}
+_VALUE_TABLES = {bits: table.astype(np.float32) for bits, table in _CODE_TABLES.items()}
+_GATHER_CHUNK = 1 << 16  # bytes per gather
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
@@ -306,9 +357,8 @@ def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
     per = 8 // bits
     if len(u) * per < count:
         raise ValueError(f"{len(u)} bytes hold {len(u) * per} {bits}-bit codes, not {count}")
-    if per == 1:
-        return u[:count].view(np.int8).copy()
-    return np.take(_CODE_TABLES[bits], u).view(np.int8)[:count]
+    codes = np.take(_CODE_TABLES[bits], u[: -(-count // per)], axis=0, mode="wrap")
+    return codes.reshape(-1)[:count]
 
 
 def packed_size(count: int, bits: int, n_scales: int) -> int:

@@ -555,7 +555,9 @@ def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
             (logits,),
             lambda g: (np.zeros((n, v), np.float32),),
         )
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    # the row max plane by plane over a [v, n] copy, as in attention_context. A +-0 tie
+    # may give either zero, but then two exps of 1 keep lse > 0 and logp's bits the same
+    z = logits.data - np.maximum.reduce(np.ascontiguousarray(logits.data.T), axis=0)[:, None]
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     rows = np.arange(n)[valid]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqseq import checkpoint, quantizer
 from dqseq.checkpoint import (
     MAGIC,
     TAG_FLOAT32,
@@ -24,7 +25,7 @@ from dqseq.checkpoint import (
 )
 from dqseq.distiller import DistillConfig
 from dqseq.model import ModelConfig, SeqModel, greedy_decode_batch, init_model, param_specs
-from dqseq.quantizer import QuantConfig, QuantizedTensor, quantize_params
+from dqseq.quantizer import QuantConfig, QuantizedTensor, quantize_params, unpack_codes
 from dqseq.tensor import Tensor
 from dqseq.trainer import CheckpointMeta, TrainConfig
 
@@ -246,6 +247,34 @@ def test_build_model_dequantizes_to_working_model(tmp_path):
         expect = value.values() if isinstance(value, QuantizedTensor) else value.data
         np.testing.assert_array_equal(rebuilt.params[name].data, expect)
         assert rebuilt.params[name].requires_grad
+
+
+@pytest.mark.parametrize("qc", [QuantConfig(2, 2, 8), QuantConfig(4, 8, 8, row_wise=True)],
+                         ids=["2-2-8", "4-8-8rw"])
+def test_load_model_dequantizes_packed_bytes_without_unpacking(tmp_path, monkeypatch, qc):
+    # load_model builds alpha * codes bit for bit straight from the packed bytes; codes
+    # are unpacked only when read, which the counter must see for the count to mean much
+    calls = []
+
+    def counting_unpack(buf, bits, count):
+        calls.append(bits)
+        return unpack_codes(buf, bits, count)
+
+    monkeypatch.setattr(quantizer, "unpack_codes", counting_unpack)
+    monkeypatch.setattr(checkpoint, "unpack_codes", counting_unpack)
+    stored = quantize_params(init_model(SMALL, seed=5).params, categories(SMALL), qc)
+    path = str(tmp_path / "packed.ckpt")
+    save_checkpoint(path, stored, small_meta(quant_config=qc))
+    loaded, _ = load_model(path)
+    assert calls == []
+    for name, value in stored.items():
+        want = value.values() if isinstance(value, QuantizedTensor) else value.data
+        assert loaded.params[name].data.tobytes() == want.tobytes(), name
+    params, _ = load_checkpoint(path)
+    assert calls == []
+    name = "enc.0.ffn.w1"
+    assert np.array_equal(params[name].codes, stored[name].codes)
+    assert calls == [qc.w_bits]
 
 
 def test_load_model_reproduces_decodes(tmp_path):

@@ -384,6 +384,54 @@ def test_two_bit_field_0b10_decodes_to_minus_two():
     assert unpack_codes(bytes([0xAA]), 2, 4).tolist() == [-2, -2, -2, -2]
 
 
+def _packed_shapes(per: int):
+    # a byte count covering every byte value, then counts whose last byte pads
+    return [(16, 16 * per), (3, 86 * per - 1), (7, 9), (1, 1)]
+
+
+@pytest.mark.parametrize("row_wise", [False, True])
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_packed_tensor_dequantizes_like_its_unpacked_codes(bits, row_wise):
+    # values() gathered from the packed bytes is alpha * codes bit for bit, and the lazily
+    # unpacked codes are unpack_codes'; alphas include 0, -0.0, a subnormal and a huge one
+    rng = np.random.default_rng(20 + bits)
+    per = 8 // bits
+    for rows, cols in _packed_shapes(per):
+        count = rows * cols
+        every_byte_twice = np.concatenate([rng.permutation(256), rng.permutation(256)])
+        buf = every_byte_twice.astype(np.uint8)[: -(-count // per)].tobytes()
+        assert count < 256 * per or set(buf) == set(range(256))
+        codes = unpack_codes(buf, bits, count).reshape(rows, cols)
+        scalars = np.float32([0.0, -0.0, 3e-42, 0.37, 1e30])
+        if row_wise:
+            alphas = [np.resize(rng.permutation(scalars), rows), rng.random(rows, np.float32)]
+        else:
+            alphas = [a for a in scalars]
+        for alpha in alphas:
+            q = QuantizedTensor.from_packed(alpha, buf, bits, (rows, cols))
+            want = (alpha[:, None] if row_wise else alpha) * codes
+            got = q.values()
+            assert got.dtype == np.float32 and got.shape == (rows, cols)
+            assert got.tobytes() == want.astype(np.float32).tobytes(), (rows, cols, alpha)
+            assert got.tobytes() == QuantizedTensor(alpha, codes, bits, (rows, cols)).values(
+            ).tobytes()
+            assert q.codes.dtype == np.int8 and np.array_equal(q.codes, codes)
+            assert q.values().tobytes() == got.tobytes()  # reading codes changes nothing
+
+
+def test_packed_tensor_rejects_short_bytes_and_bad_scales():
+    with pytest.raises(ValueError, match="fewer than 9"):
+        QuantizedTensor.from_packed(np.float32(1.0), b"\x00\x00", 2, (9,))
+    with pytest.raises(ValueError, match="widths"):
+        QuantizedTensor.from_packed(np.float32(1.0), b"\x00", 3, (1,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        QuantizedTensor.from_packed(np.float32(-1.0), b"\x00", 2, (4,))
+    with pytest.raises(ValueError, match="fits neither"):
+        QuantizedTensor.from_packed(np.ones(3, np.float32), b"\x00", 2, (2, 2))
+    q = QuantizedTensor.from_packed(np.float32(0.5), bytes([0b10]), 2, (1,))
+    assert q.values().tolist() == [-1.0]  # 0b10 decodes to -2 here too
+
+
 def test_pack_rejects_codes_outside_the_width():
     # each would be written as a field that loads as a different code (2 -> -2, 9 -> -7)
     for codes, bits in (([2], 2), ([-3], 2), ([9], 4), ([-9], 4), ([128], 8), ([-129], 8)):

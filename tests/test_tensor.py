@@ -240,6 +240,38 @@ def test_attention_softmax_max_matches_row_max_on_masked_scores():
     assert np.array_equal(attention_context(Tensor(s), Tensor(v), 2, 0.0, None).data, want)
 
 
+def test_cross_entropy_row_max_matches_logits_max_bit_for_bit():
+    # the loss and gradient, with the row max taken plane by plane, equal those of the
+    # transcribed logits.max(axis=1) form bit for bit, on rows holding signed-zero maxima
+    # and ties (17 wide, where the two maxes can differ in the sign of a zero), -1e9
+    # fills, a row whose other exps underflow, and a row of one repeated value
+    rng = np.random.default_rng(11)
+    x = rng.choice(np.float32([0.0, -0.0, -1.0, 0.5, -1e9]), (64, 17))
+    x[0] = -1e9
+    x[0, 3] = -0.0  # lse is exactly 0 here, so logp is the zero z holds
+    x[1] = -0.0
+    x[2] = [0.0, -0.0] * 8 + [-1e9]
+    x[3] = 2.5
+    x[4:8] = rand(rng, 4, 17)
+    t = rng.integers(0, 17, 64)
+    t[0] = 3
+    want_max = x.max(axis=1, keepdims=True)
+    assert np.array_equal(np.maximum.reduce(np.ascontiguousarray(x.T), axis=0)[:, None],
+                          want_max)
+    z = x - want_max
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    want = np.asarray(-logp[np.arange(64), t].sum() / np.float32(64), np.float32)
+    want_grad = np.exp(logp)
+    want_grad[np.arange(64), t] -= 1.0
+    want_grad = (np.float32(1.0) / 64) * want_grad
+    logits = Tensor(x, requires_grad=True)
+    with Tape():
+        out = cross_entropy(logits, t)
+        backward(out)
+    assert out.data.tobytes() == want.tobytes()
+    assert logits.grad.tobytes() == want_grad.astype(np.float32).tobytes()
+
+
 def test_attention_context_dropout_draws_like_dropout():
     rng = np.random.default_rng(0)
     s, v = rand(rng, 2, 2, 3, 4), rand(rng, 2, 4, 6)
