@@ -11,10 +11,10 @@ of the dev sources through the 8-bit-activation view, and the bytes that
 save_checkpoint writes (through a temporary file) for the run's
 quantize_params set: the teacher's float32 master, each student's packed
 codes and scales. It also hashes the float32 weights that load_model builds
-back from that file ("load"). Two checkouts whose arithmetic, quantizer and codec agree
-bit for bit print the same hashes; run it in each, from the checkout's root
-(the package is imported from its ``src/``), and diff the output. The last
-line of stdout is one JSON object.
+back from that file ("load"). Two checkouts whose arithmetic, quantizer and
+codec agree bit for bit print the same hashes; run it in each, from the
+checkout's root (the package is imported from its ``src/``), and diff the
+output. The last line of stdout is one JSON object.
 """
 
 import hashlib

@@ -384,11 +384,6 @@ def test_two_bit_field_0b10_decodes_to_minus_two():
     assert unpack_codes(bytes([0xAA]), 2, 4).tolist() == [-2, -2, -2, -2]
 
 
-def _packed_shapes(per: int):
-    # a byte count covering every byte value, then counts whose last byte pads
-    return [(16, 16 * per), (3, 86 * per - 1), (7, 9), (1, 1)]
-
-
 @pytest.mark.parametrize("row_wise", [False, True])
 @pytest.mark.parametrize("bits", [2, 4, 8])
 def test_packed_tensor_dequantizes_like_its_unpacked_codes(bits, row_wise):
@@ -396,7 +391,8 @@ def test_packed_tensor_dequantizes_like_its_unpacked_codes(bits, row_wise):
     # unpacked codes are unpack_codes'; alphas include 0, -0.0, a subnormal and a huge one
     rng = np.random.default_rng(20 + bits)
     per = 8 // bits
-    for rows, cols in _packed_shapes(per):
+    # a byte count covering every byte value, then counts whose last byte pads
+    for rows, cols in [(16, 16 * per), (3, 86 * per - 1), (7, 9), (1, 1)]:
         count = rows * cols
         every_byte_twice = np.concatenate([rng.permutation(256), rng.permutation(256)])
         buf = every_byte_twice.astype(np.uint8)[: -(-count // per)].tobytes()
@@ -406,7 +402,7 @@ def test_packed_tensor_dequantizes_like_its_unpacked_codes(bits, row_wise):
         if row_wise:
             alphas = [np.resize(rng.permutation(scalars), rows), rng.random(rows, np.float32)]
         else:
-            alphas = [a for a in scalars]
+            alphas = list(scalars)
         for alpha in alphas:
             q = QuantizedTensor.from_packed(alpha, buf, bits, (rows, cols))
             want = (alpha[:, None] if row_wise else alpha) * codes
