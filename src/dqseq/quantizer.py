@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, straight_through
+from .tensor import Tensor, active_tape, straight_through
 
 ALLOWED_WEIGHT_BITS = (2, 4, 8, 32)
 ALLOWED_ACTIVATION_BITS = (8, 32)
@@ -124,9 +124,9 @@ class QuantizedTensor:
     def values(self) -> np.ndarray:
         if self._codes is None:
             return self._values_from_packed()
-        if self.alpha.ndim == 0:
-            return (self.alpha * self._codes).astype(np.float32, copy=False)
-        return (self.alpha[:, None] * self._codes).astype(np.float32, copy=False)
+        out = self._codes.astype(np.float32)  # then alpha * code in float32, in place
+        out *= self.alpha if self.alpha.ndim == 0 else self.alpha[:, None]
+        return out
 
     def _values_from_packed(self) -> np.ndarray:
         # each byte gathers its 8 // bits float32 values from a 256-row table: alpha times
@@ -214,22 +214,17 @@ def twn_quantize(w, row_wise: bool = False) -> QuantizedTensor:
     arr = _as_array(w)
     if row_wise and arr.ndim != 2:
         raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
-    absw = np.abs(arr)
-    if row_wise:
-        delta = (np.float32(0.7) * absw.sum(axis=1) / np.float32(arr.shape[1]))[:, None]
-        codes = (arr > delta).view(np.int8) - (arr < -delta).view(np.int8)
-        above = absw > delta
-        counts = np.count_nonzero(above, axis=1).astype(np.float32)
-        absw *= above  # sum at full length, not absw[above]: the pairwise order fixes alpha's bits
-        alpha = np.where(counts > 0, absw.sum(axis=1) / np.maximum(counts, 1.0), 0.0)
-        return QuantizedTensor(alpha, codes, 2, arr.shape)
-    delta = np.float32(0.7) * absw.sum() / np.float32(max(arr.size, 1))
-    codes = (arr > delta).view(np.int8) - (arr < -delta).view(np.int8)
+    rows = arr if row_wise else arr.reshape(1, -1)  # per tensor: one row, one scale
+    absw = np.abs(rows)
+    delta = np.float32(0.7) * absw.sum(axis=1, keepdims=True) / np.float32(max(rows.shape[1], 1))
+    codes = (rows > delta).view(np.int8) - (rows < -delta).view(np.int8)
     above = absw > delta
-    k = np.count_nonzero(above)
+    # one count per row; over a whole tensor, count_nonzero without an axis is 10x faster
+    counts = np.asarray(np.count_nonzero(above, axis=1 if row_wise else None), np.float32)
     absw *= above  # sum at full length, not absw[above]: the pairwise order fixes alpha's bits
-    alpha = absw.sum() / np.float32(k) if k else 0.0
-    return QuantizedTensor(alpha, codes, 2, arr.shape)
+    alpha = np.where(counts > 0, absw.sum(axis=1) / np.maximum(counts, 1.0), 0.0)
+    return QuantizedTensor(alpha if row_wise else alpha[0], codes.reshape(arr.shape), 2,
+                           arr.shape)
 
 
 def quantize(w, n_bits: int, row_wise: bool = False) -> QuantizedTensor:
@@ -248,7 +243,9 @@ def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
     the scale underflows) passes through unchanged. Because no scale spans
     two rows, a sequence's values never depend on the other sequences or
     the padding in its batch. 32 bits is the identity. Gradients pass
-    straight through.
+    straight through. An output the tape records links to its int8 codes and
+    scales, a row-wise QuantizedTensor over [rows, d], unless a row's scale
+    is 0 or not finite: then the ops that read it keep its float32 values.
     """
     if a_bits == 32:
         return x
@@ -266,10 +263,15 @@ def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
     # round, clamp and rescale in place on the output buffer, which straight_through keeps
     vals = _round_half_away(data / alpha)
     np.clip(vals, -127, 127, out=vals)
+    link = None
+    if x.requires_grad and active_tape() is not None and not any_zero \
+            and np.isfinite(alpha).all():
+        d = data.shape[-1]
+        link = QuantizedTensor(alpha.reshape(-1), vals.reshape(-1, d), 8, (vals.size // d, d))
     vals *= alpha
     if any_zero:
         np.copyto(vals, data, where=zero)
-    return straight_through(x, vals)
+    return straight_through(x, vals, link)
 
 
 def quantize_params(params: dict, categories: dict, qconfig: QuantConfig) -> dict:
@@ -292,7 +294,8 @@ def quantize_model(model, qconfig: QuantConfig):
 
     Every parameter that quantize_params stores quantized is replaced by its
     dequantized values wired through a straight-through node, so gradients
-    land on the master tensors. Excluded categories share the master
+    land on the master tensors; a recorded node links to its QuantizedTensor
+    (Tensor.quant). Excluded categories share the master
     tensors; with all bit widths at 32 the view's forward is bit-identical
     to the original.
     """
@@ -301,7 +304,7 @@ def quantize_model(model, qconfig: QuantConfig):
     categories = {name: cat for name, _, cat in param_specs(model.config)}
     stored = quantize_params(model.params, categories, qconfig)
     return SeqModel(model.config, {
-        name: straight_through(model.params[name], q.values())
+        name: straight_through(model.params[name], q.values(), q)
         if isinstance(q, QuantizedTensor) else q
         for name, q in stored.items()
     })

@@ -2,8 +2,12 @@
 
 Shapes are static, storage is row-major float32, and every differentiable
 op records one node on the active tape: its parents and a backward closure
-that keeps only what backward reads. backward() consumes the tape in reverse,
-freeing each node, and adds gradients to leaves' .grad; zeroing is explicit.
+that keeps only what backward reads. Where that is an operand dequantized
+from integer codes (a recorded straight_through output with a .quant link),
+the node keeps the int8 codes and their scales instead, about a quarter of
+the bytes, and dequantizes them again in backward to the same float32 bits.
+backward() consumes the tape in reverse, freeing each node, and adds
+gradients to leaves' .grad; zeroing is explicit.
 """
 
 from __future__ import annotations
@@ -56,9 +60,14 @@ def set_nan_checks(enabled: bool) -> None:
 
 
 class Tensor:
-    """An n-dimensional float32 array with an optional gradient buffer."""
+    """An n-dimensional float32 array with an optional gradient buffer.
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node_index", "__weakref__")
+    quant, when set, is what the data was dequantized from: an object whose
+    values() gives the data's bits again, in data's shape or reshapeable to it.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "name", "quant", "_tape", "_node_index",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float32)
@@ -68,6 +77,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
+        self.quant = None
         self._tape: Tape | None = None
         self._node_index = -1
 
@@ -159,6 +169,19 @@ def _record(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward)
     return out
 
 
+def _kept(t: Tensor, needed: bool):
+    """What a node keeps of t's data for its backward: nothing if backward does
+    not read it, else t's quantized link when it has one, else the array."""
+    if not needed:
+        return None
+    return t.data if t.quant is None else t.quant
+
+
+def _restored(kept, shape) -> np.ndarray:
+    """The float32 array that _kept stands for, dequantized again if need be."""
+    return kept if isinstance(kept, np.ndarray) else kept.values().reshape(shape)
+
+
 def backward(loss: Tensor) -> None:
     """Reverse pass from a scalar loss through the tape that recorded it.
 
@@ -206,12 +229,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul leading dimensions differ: {A.shape} @ {B.shape}")
     out = A @ B
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_kept, a_shape = _kept(a, need_b), A.shape
 
     def bwd(g):
         ga = gb = None
         if need_a:
             ga = g @ (B.T if B.ndim == 2 else np.swapaxes(B, -1, -2))
         if need_b:
+            A = _restored(a_kept, a_shape)
             if B.ndim == 2 and A.ndim > 2:
                 gb = A.reshape(-1, A.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
@@ -222,17 +247,22 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """x @ w + b as one node: [..., k] inputs, a [k, n] weight, an [n] bias."""
+    """x @ w + b as one node: [..., k] inputs, a [k, n] weight, an [n] bias.
+
+    The node keeps x only for w's gradient and w only for x's, each as its
+    quantized link when it has one (Tensor.quant), else as the float array.
+    """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     X, W = x.data, w.data
     if X.ndim < 2 or W.ndim != 2 or X.shape[-1] != W.shape[0] or b.shape != W.shape[1:]:
         raise ShapeError(f"linear needs [..., k] @ [k, n] + [n]: {X.shape} @ {W.shape} + {b.shape}")
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    x_kept, w_kept, x_shape, w_shape = _kept(x, need_w), _kept(w, need_x), X.shape, W.shape
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gx = g @ W.T if need_x else None
-        gw = X.reshape(-1, X.shape[-1]).T @ g2 if need_w else None
+        gx = g @ _restored(w_kept, w_shape).T if need_x else None
+        gw = _restored(x_kept, x_shape).reshape(-1, x_shape[-1]).T @ g2 if need_w else None
         return gx, gw, (g2.sum(axis=0) if need_b else None)
 
     out = X @ W
@@ -270,22 +300,32 @@ def scale(a, s: float) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a) -> Tensor:
-    """tanh-approximate GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    a = _as_tensor(a)
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c*(x + 0.044715*x^3)), in place on one new buffer."""
     # in-place chains that round as the written formulas do, term by term
     t = 0.044715 * x
     t *= x
     t *= x
     t += x
     t *= _GELU_C
-    np.tanh(t, out=t)
+    return np.tanh(t, out=t)
+
+
+def gelu(a) -> Tensor:
+    """tanh-approximate GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    The node keeps x alone and recomputes the tanh term in backward.
+    """
+    a = _as_tensor(a)
+    x = a.data
+    t = _gelu_tanh(x)
     out = 0.5 * x
-    out *= 1.0 + t
+    t += 1.0
+    out *= t
 
     def bwd(g):
         # 0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x), in that order
+        t = _gelu_tanh(x)
         d = t * t
         np.subtract(1.0, d, out=d)
         e = np.multiply(x, 0.5)
@@ -474,18 +514,25 @@ def transpose(a) -> Tensor:
     return _record("transpose", a.data.T, (a,), lambda g: (g.T,))
 
 
-def straight_through(x, values) -> Tensor:
+def straight_through(x, values, quant=None) -> Tensor:
     """Output carries `values`; the gradient passes to x unchanged.
 
     This is the estimator that lets quantized forwards train a
     full-precision master copy. A float32 `values` array becomes the
     output's data without a copy, so pass a buffer nothing else writes.
+    The node keeps nothing. `quant`, if given, is what `values` were
+    dequantized from; a recorded output keeps it as its .quant link, so the
+    nodes that read the output keep the codes rather than the float32
+    values. An output off the tape gets no link.
     """
     x = _as_tensor(x)
     vals = np.asarray(values, dtype=np.float32)
     if vals.shape != x.shape:
         raise ShapeError(f"straight_through values {vals.shape} != input {x.shape}")
-    return _record("straight_through", vals, (x,), lambda g: (g,))
+    out = _record("straight_through", vals, (x,), lambda g: (g,))
+    if out.requires_grad:
+        out.quant = quant
+    return out
 
 
 def sum_all(a) -> Tensor:
@@ -499,7 +546,8 @@ def mse(a, b, mask=None) -> Tensor:
     """Mean squared error over unmasked elements.
 
     mask, if given, is a boolean array of the same shape; True means the
-    element participates. Zero unmasked elements yields a zero loss.
+    element participates. Zero unmasked elements yields a zero loss. The
+    node keeps both inputs and recomputes their masked difference in backward.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -511,19 +559,25 @@ def mse(a, b, mask=None) -> Tensor:
         count = int(mask.sum())
     else:
         count = a.size
-    diff = a.data - b.data
     if count == 0:
         out = np.float32(0.0)
         shapes = a.shape, b.shape
         zero = lambda g: tuple(np.zeros(s, np.float32) for s in shapes)
         return _record("mse", np.asarray(out), (a, b), zero)
-    if mask is not None:
-        diff = diff * mask
+    A, B = a.data, b.data
+
+    def masked_diff():
+        diff = A - B
+        if mask is not None:
+            diff *= mask
+        return diff
+
+    diff = masked_diff()
     out = np.asarray((diff * diff).sum() / np.float32(count), dtype=np.float32)
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        base = (2.0 / count) * g * diff
+        base = (2.0 / count) * g * masked_diff()
         return (base if need_a else None), (-base if need_b else None)
 
     return _record("mse", out, (a, b), bwd)

@@ -156,7 +156,9 @@ def distillation_aware_step(
 
     With task_only (teacher pretraining, shrink-and-finetune) the teacher
     forward is skipped and the distillation components are zero constants.
-    The teacher forward runs off the tape, so no gradient reaches the teacher.
+    The teacher forward runs off the tape, so no gradient reaches the teacher,
+    and before the student's, so its temporaries are freed before the tape
+    grows; it draws no dropout, so the order changes no rng draw.
     """
     src, dec_in, labels = batch
     master.zero_grad()
@@ -165,15 +167,13 @@ def distillation_aware_step(
         view = quantize_model(master, qconfig)
         return forward(view, src, dec_in, PAD, a_bits=qconfig.a_bits, training=True, rng=rng)
 
+    ttrace = None
+    if teacher is not None and not task_only:
+        with no_grad():
+            ttrace = forward(teacher, src, dec_in, PAD)
     replay_state = None if rng is None else rng.bit_generator.state
     with Tape():
         strace = student(rng)
-        ttrace = None
-        if teacher is not None and not task_only:
-            # after the student's forward, the order the step is measured in; with freed
-            # memory kept mapped (tensor.py), running it first no longer faults pages in
-            with no_grad():
-                ttrace = forward(teacher, src, dec_in, PAD)
         bd = total_loss(strace, ttrace, labels, layer_map, PAD)
     if not np.isfinite(bd.total.item()):
         # The tape keeps no op outputs, so replay the loss, with the same

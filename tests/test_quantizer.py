@@ -275,6 +275,19 @@ def test_activation_signed_zeros_and_halves_match_oracle():
     assert np.array_equal(np.signbit(y), np.signbit(x))
 
 
+def test_recorded_activation_links_its_codes_when_every_scale_is_finite_and_nonzero():
+    x = Tensor(np.float32([[[1.0, -2.0], [0.5, 0.25]]]), requires_grad=True)
+    with Tape():
+        y = quantize_activation(x, 8)
+    assert y.quant.codes.tolist() == [[64, -127], [127, 64]]
+    assert y.quant.values().reshape(y.shape).tobytes() == y.data.tobytes()
+    for bad in (0.0, np.inf, np.nan):  # such a row keeps the float path
+        data = x.data.copy()
+        data[0, 1] = bad
+        with Tape(), np.errstate(invalid="ignore"):
+            assert quantize_activation(Tensor(data, requires_grad=True), 8).quant is None
+
+
 def test_activation_output_does_not_alias_its_input():
     data = np.float32([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])  # the zero row passes through
     x = Tensor(data.copy(), requires_grad=True)

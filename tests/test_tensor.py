@@ -1,8 +1,10 @@
 """Tensor engine: op semantics, frozen examples, gradients vs finite differences."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +38,10 @@ from dqseq.tensor import (
     transpose,
 )
 
+from dqseq import model, quantizer
+from dqseq.model import init_model
 from dqseq.quantizer import QuantConfig
+from dqseq.tasks import BOS, EOS, PAD
 from dqseq.trainer import Adam, distillation_aware_step
 
 import oracles
@@ -372,17 +377,8 @@ def test_second_backward_on_a_consumed_tape_raises():
     assert np.array_equal(x.grad, np.float32([4.0]))
 
 
-def test_ladder_dq_step_heap_peak_and_leaf_grads(ladder_dq_inputs):
-    # the tape holds only what backward reads and backward frees it as it
-    # goes, so one 2-2-8 dq step at the ladder shape peaks at about 14 MB
-    # above its resting heap, where holding every node's output and every
-    # intermediate gradient peaked at 31.5 MB
-    teacher, student, lmap, batch = ladder_dq_inputs
-    opt = Adam(student.params)
-
-    def step():
-        distillation_aware_step(student, teacher, batch, QuantConfig(2, 2, 8), lmap, opt, 1e-3)
-
+def _heap_peak(step) -> int:
+    """The third step's tracemalloc peak above the heap the second left."""
     step()
     tracemalloc.start()
     try:
@@ -390,16 +386,134 @@ def test_ladder_dq_step_heap_peak_and_leaf_grads(ladder_dq_inputs):
         rest = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         step()
-        peak = tracemalloc.get_traced_memory()[1] - rest
+        return tracemalloc.get_traced_memory()[1] - rest
     finally:
         tracemalloc.stop()
-    assert peak <= 20e6, peak
+
+
+def test_ladder_dq_step_heap_peak_and_leaf_grads(ladder_dq_inputs):
+    # the tape holds only what backward reads, quantized operands as int8
+    # codes, and backward frees it as it goes, so one 2-2-8 dq step at the
+    # ladder shape peaks at 9.8 MB above its resting heap: 14.4 MB with
+    # float32 operands, 31.5 MB holding every node's output and gradient
+    teacher, student, lmap, batch = ladder_dq_inputs
+    opt = Adam(student.params)
+    peak = _heap_peak(lambda: distillation_aware_step(
+        student, teacher, batch, QuantConfig(2, 2, 8), lmap, opt, 1e-3))
+    assert peak <= 12e6, peak
     digest = hashlib.sha256()
     for name, t in student.params.items():
         digest.update(name.encode())
         digest.update(t.grad.tobytes())
     # the third step's gradients, as the engine that kept every node's output produced them
     assert digest.hexdigest() == "ca7da612158708bfc521584df8731629dee45deca4131954d24a58c29dab420f"
+
+
+def test_ladder_teacher_step_heap_peak(ladder_dq_inputs):
+    # a task-only float32 step: 10.0 MB, where gelu's node kept its tanh term
+    # too and the step peaked at 11.2 MB
+    frozen, _, _, batch = ladder_dq_inputs
+    teacher = init_model(frozen.config, seed=0)
+    opt = Adam(teacher.params)
+    peak = _heap_peak(lambda: distillation_aware_step(
+        teacher, None, batch, QuantConfig(), None, opt, 1e-3, task_only=True))
+    assert peak <= 10.8e6, peak
+
+
+def test_recorded_activation_floats_are_freed_after_forward(ladder_dq_inputs, monkeypatch):
+    # the linear nodes that read a quantized activation keep its int8 codes,
+    # so its float32 buffer dies with the forward while the tape lives on
+    _, student, _, batch = ladder_dq_inputs
+    src, dec_in, _ = batch
+    outputs = []
+
+    def quantize_activation(x, a_bits):
+        y = quantizer.quantize_activation(x, a_bits)
+        outputs.append((weakref.ref(y.data), y.quant))
+        return y
+
+    monkeypatch.setattr(model, "quantize_activation", quantize_activation)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            view = quantizer.quantize_model(student, QuantConfig(2, 2, 8))
+            trace = model.forward(view, src, dec_in, PAD, a_bits=8)
+            del view
+        assert len(tape) and trace.logits is not None
+        assert len(outputs) == 4 * 2 + 6 * 2 + 2  # per encoder, per decoder layer; memory, output
+        assert all(isinstance(q, quantizer.QuantizedTensor) and q.codes.dtype == np.int8
+                   for _, q in outputs)
+        assert [ref() for ref, _ in outputs] == [None] * len(outputs)
+    finally:
+        gc.enable()
+
+
+def _linear_grads(make_x, make_w, link: bool):
+    """x, w and b gradients of mse(linear(x', w', b), target), where x' and w'
+    are what make_x and make_w build on the tape from master tensors; with
+    link False their .quant is dropped, so the node keeps float32 arrays."""
+    rng = np.random.default_rng(5)
+    xm = Tensor(rng.normal(size=(3, 5, 16)).astype(np.float32), requires_grad=True)
+    xm.data[1, 2] = 0.0
+    wm = Tensor(rng.normal(size=(16, 8)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
+    target = Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32))
+    with Tape():
+        x, w = make_x(xm), make_w(wm)
+        if not link:
+            x.quant = w.quant = None
+        backward(mse(linear(x, w, b), target))
+    return [t.grad for t in (xm, wm, b)], x.quant, w.quant
+
+
+def _rows_scaled(xm):
+    xm.data[1, 2] = np.linspace(-1, 1, xm.shape[-1])  # no zero-scale row
+    return quantizer.quantize_activation(xm, 8)
+
+
+def _weights(bits):
+    def make_w(wm):
+        q = quantizer.quantize(wm, bits, row_wise=True)
+        return straight_through(wm, q.values(), q)
+    return make_w
+
+
+@pytest.mark.parametrize("make_x, make_w, links", [
+    (_rows_scaled, lambda wm: wm, (True, False)),
+    (lambda xm: quantizer.quantize_activation(xm, 8), lambda wm: wm, (False, False)),
+    (lambda xm: xm, _weights(2), (False, True)),
+    (lambda xm: xm, _weights(4), (False, True)),
+], ids=["per-token-codes", "zero-scale-row-floats", "2-bit-row-wise", "4-bit-row-wise"])
+def test_linear_grads_from_codes_equal_float_path(make_x, make_w, links):
+    grads, x_link, w_link = _linear_grads(make_x, make_w, link=True)
+    assert (x_link is not None, w_link is not None) == links
+    floats, _, _ = _linear_grads(make_x, make_w, link=False)
+    for got, want in zip(grads, floats):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_no_link_off_the_tape(ladder_dq_inputs, monkeypatch):
+    # decoding and evaluation build no codes for backward: no_grad, or no tape at all
+    x = Tensor(np.float32([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+    assert quantizer.quantize_activation(x, 8).quant is None
+    with Tape(), no_grad():
+        assert quantizer.quantize_activation(x, 8).quant is None
+    with Tape():
+        assert quantizer.quantize_activation(x, 8).quant is not None
+    _, student, _, batch = ladder_dq_inputs
+    links = []
+
+    def straight_through_spy(x, values, quant=None):
+        out = straight_through(x, values, quant)
+        links.append((quant, out.quant))
+        return out
+
+    monkeypatch.setattr(quantizer, "straight_through", straight_through_spy)
+    view = quantizer.quantize_model(student, QuantConfig(2, 2, 8))
+    assert all(t.quant is None for t in view.params.values())
+    del links[:]
+    model.greedy_decode_batch(view, [list(r) for r in batch[0][:4]], BOS, EOS, 6, PAD, a_bits=8)
+    assert links and all(q is None and link is None for q, link in links)
 
 
 def test_backward_is_deterministic():
