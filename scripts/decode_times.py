@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Per-op time of greedy decoding at the decode-2-2-8 shape, and the rows each step decodes.
+
+    python3 scripts/decode_times.py [--seed 0] [--batches 200]
+
+Run from a dqseq checkout's root; the package is imported from its ``src/``
+and the workload's set-up from its ``bench/``. As ``bench/run.py``'s
+decode-2-2-8 does, it trains the ladder-shape teacher, takes its 2-2-8 view
+and greedy-decodes the dev and test sources in 32-row batches with the
+15-token cap. After one warm pass it decodes ``--batches`` batches plainly
+(wall time per batch), then one pass counting the rows that each
+``decode_step`` call receives, then ``--batches`` batches with timers.
+
+The timers wrap module-level names from outside ``src/``, as
+``scripts/op_times.py`` does: every tensor op as ``model`` resolves it,
+``model.quantize_activation``, and the phases ``encode``, ``decode_step``
+and, where they exist, ``DecodeState.keep`` and ``_KVCache.append``. An
+op's self time leaves out the wrapped calls made inside it. Times are ms
+per batch and calls are per batch. The last line of stdout is one JSON
+object.
+"""
+
+import argparse
+import inspect
+import json
+import os
+import statistics
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # one BLAS thread, as the benchmark runs
+
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "bench"),
+                os.path.dirname(os.path.abspath(__file__))]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from dqseq import model, quantizer, tensor  # noqa: E402
+from dqseq.tasks import BOS, EOS, PAD, generate_task  # noqa: E402
+from op_times import NOT_OPS, OpTimer  # noqa: E402
+
+_now = time.perf_counter_ns
+
+
+class DecodeTimer(OpTimer):
+    """OpTimer over the names greedy decoding calls."""
+
+    def install(self) -> None:
+        ops = {fn: name for name, fn in vars(tensor).items()
+               if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
+               and not name.startswith("_") and name not in NOT_OPS}
+        for attr, fn in list(vars(model).items()):
+            if inspect.isfunction(fn) and fn in ops:
+                self._patch(model, attr, self.timed("forward", ops[fn], fn))
+        self._patch(model, "quantize_activation",
+                    self.timed("forward", "quantize_activation", model.quantize_activation))
+        for attr in ("encode", "decode_step"):
+            self._patch(model, attr, self.timed("phase", attr, getattr(model, attr)))
+        for owner, attr in ((model.DecodeState, "keep"), (model._KVCache, "append")):
+            if hasattr(owner, attr):  # a checkout older than row dropping has no keep
+                name = f"{owner.__name__}.{attr}"
+                self._patch(owner, attr, self.timed("phase", name, getattr(owner, attr)))
+
+
+def rows_per_step(view, chunks, cap: int) -> list[list[int]]:
+    """For each batch, the rows that each of its decode_step calls received."""
+    step, seen = model.decode_step, []
+
+    def counting(m, state, ids, *args, **kwargs):
+        seen[-1].append(int(np.asarray(ids).size))
+        return step(m, state, ids, *args, **kwargs)
+
+    model.decode_step = counting
+    try:
+        for chunk in chunks:
+            seen.append([])
+            model.greedy_decode_batch(view, chunk, BOS, EOS, cap, PAD, a_bits=8)
+    finally:
+        model.decode_step = step
+    return seen
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--batches", type=int, default=200)
+    args = ap.parse_args()
+    size = workloads.SIZES["full"]
+    splits = generate_task(workloads._task(args.seed, size))
+    view = quantizer.quantize_model(workloads._trained_teacher(splits, size, args.seed),
+                                    workloads.Q228)
+    srcs = [s for s, _ in splits.dev.pairs + splits.test.pairs]
+    chunks = [srcs[i : i + size.batch] for i in range(0, len(srcs), size.batch)]
+    cap = size.ladder.max_positions - 1
+
+    def decode(i: int):
+        return model.greedy_decode_batch(view, chunks[i % len(chunks)], BOS, EOS, cap, PAD,
+                                         a_bits=8)
+
+    first = [decode(i) for i in range(len(chunks))]
+    ms = []
+    for i in range(args.batches):
+        t0 = _now()
+        decode(i)
+        ms.append((_now() - t0) / 1e6)
+    rows = rows_per_step(view, chunks, cap)
+    timer = DecodeTimer()
+    timer.install()
+    try:
+        for i in range(args.batches):
+            if decode(i) != first[i % len(chunks)]:
+                raise SystemExit("a timed batch decoded other tokens than the warm pass")
+    finally:
+        timer.uninstall()
+    width = sum(len(c) * len(r) for c, r in zip(chunks, rows))
+    result = {
+        "batches": args.batches,
+        "batch_ms_p10": round(float(np.percentile(ms, 10)), 3),
+        "batch_ms_median": round(statistics.median(ms), 3),
+        "rows_per_step": rows,
+        "row_steps": sum(map(sum, rows)),
+        "row_steps_if_every_row_ran": width,
+        "phase": timer.table("phase", args.batches),
+        "forward": timer.table("forward", args.batches),
+    }
+    print(f"{args.batches} batches of {size.batch} rows to the {cap}-token cap: plain batch p10 "
+          f"{result['batch_ms_p10']} ms, median {result['batch_ms_median']} ms")
+    print(f"rows decoded at each step, per batch ({result['row_steps']} row-steps; "
+          f"{width} if every row ran each of its batch's steps):")
+    for r in rows:
+        print("  " + " ".join(f"{n:>2}" for n in r))
+    print(f"  {'phase / op':<26}{'ms':>9}{'self ms':>9}{'calls':>8}")
+    for tab in ("phase", "forward"):
+        for name, row in sorted(result[tab].items(), key=lambda kv: -kv[1]["ms"]):
+            print(f"  {name:<26}{row['ms']:>9.3f}{row['self_ms']:>9.3f}{row['calls']:>8.1f}")
+    print(json.dumps(result, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,9 +4,11 @@ The forward pass returns a trace of everything the distillation losses
 consume: logits, per-layer pre-softmax attention scores (encoder self,
 decoder self, cross) and per-layer hidden states, plus the validity masks
 that say which positions are real. The token embedding table is shared by
-the encoder input, decoder input, and output projection. Greedy decoding
-encodes the sources once and then runs the decoder one position at a time,
-caching each layer's self-attention keys and values.
+the encoder input, decoder input, and output projection. Keys and values
+are split into heads once, where they are made. Greedy decoding encodes the
+sources once and then runs the decoder one position at a time over the rows
+that have not yet emitted EOS, caching each layer's per-head self-attention
+keys and values.
 """
 
 from __future__ import annotations
@@ -180,26 +182,27 @@ def _check_length(cfg: ModelConfig, what: str, length: int) -> None:
         )
 
 
-def _keys_values(p, prefix, source: Tensor) -> tuple[Tensor, Tensor]:
-    """Keys and values [B, L, D] of one attention block over a quantized source."""
-    return (linear(source, p[f"{prefix}.wk"], p[f"{prefix}.bk"]),
-            linear(source, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
+def _keys_values(p, prefix, source: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
+    """Per-head keys [B, H, dh, L] and values [B, H, L, dh] of one attention
+    block over a quantized source."""
+    return (linear(source, p[f"{prefix}.wk"], p[f"{prefix}.bk"], n_heads, keys=True),
+            linear(source, p[f"{prefix}.wv"], p[f"{prefix}.bv"], n_heads))
 
 
 class _KVCache:
-    """Self-attention keys and values of one decoder layer, one position at a
-    time. Appending copies arrays off the tape, so the cache carries no
-    gradient: it is for inference only."""
+    """Self-attention keys and values of one decoder layer, per head, one
+    position at a time. Appending copies arrays off the tape, so the cache
+    carries no gradient: it is for inference only."""
 
     def __init__(self):
-        self.k: Tensor | None = None  # [B, positions so far, D]
-        self.v: Tensor | None = None
+        self.k: Tensor | None = None  # [B, H, dh, positions so far]
+        self.v: Tensor | None = None  # [B, H, positions so far, dh]
 
     def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Add the newest positions' keys and values; return all of them."""
         if self.k is not None:
-            k = Tensor(np.concatenate([self.k.data, k.data], axis=1))
-            v = Tensor(np.concatenate([self.v.data, v.data], axis=1))
+            k = Tensor(np.concatenate([self.k.data, k.data], axis=3))
+            v = Tensor(np.concatenate([self.v.data, v.data], axis=2))
         self.k, self.v = k, v
         return k, v
 
@@ -216,7 +219,7 @@ def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, ca
     xq = quantize_activation(xn, a_bits)  # once for queries, keys and values
     q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
     if kv is None:
-        kv = _keys_values(p, prefix, xq)
+        kv = _keys_values(p, prefix, xq, cfg.n_heads)
         if cache is not None:
             kv = cache.append(*kv)
     k, v = kv
@@ -248,7 +251,8 @@ class Encoded:
     over them reads, computed once."""
 
     src_valid: np.ndarray  # [B, Ls] bool
-    cross_kv: list[tuple[Tensor, Tensor]]  # per decoder layer: keys, values [B, Ls, D]
+    # per decoder layer: keys [B, H, dh, Ls] and values [B, H, Ls, dh]
+    cross_kv: list[tuple[Tensor, Tensor]]
     enc_attn: list[Tensor]  # [B, H, Ls, Ls] per encoder layer
     enc_hidden: list[Tensor]  # [B, Ls, D] per encoder layer
 
@@ -284,7 +288,8 @@ def encode(
     memory = layer_norm(x, p["enc.final_ln.gain"], p["enc.final_ln.bias"], LN_EPS)
     memory_q = quantize_activation(memory, a_bits)
     enc.cross_kv = [
-        _keys_values(p, f"dec.{i}.cross", memory_q) for i in range(cfg.n_dec_layers)
+        _keys_values(p, f"dec.{i}.cross", memory_q, cfg.n_heads)
+        for i in range(cfg.n_dec_layers)
     ]
     return enc
 
@@ -356,14 +361,26 @@ def forward(
 
 
 class DecodeState:
-    """What one-position decoder steps carry from call to call: the encoded
-    sources, and the earlier positions' validity and self-attention keys
-    and values."""
+    """What one-position decoder steps carry from call to call, for the rows
+    still decoding: their encoded sources (source mask and cross-attention
+    keys and values), and their earlier positions' validity and per-head
+    self-attention keys and values. keep() drops the other rows."""
 
     def __init__(self, enc: Encoded):
         self.enc = enc
         self.tgt_valid = np.zeros((enc.src_valid.shape[0], 0), dtype=bool)
         self.caches = [_KVCache() for _ in enc.cross_kv]  # one per decoder layer
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only `rows` (a boolean mask or indices over the current rows).
+        The encoder's own outputs are dropped: decoding never reads them."""
+        enc = self.enc
+        self.enc = Encoded(enc.src_valid[rows],
+                           [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in enc.cross_kv],
+                           [], [])
+        self.tgt_valid = self.tgt_valid[rows]
+        for c in self.caches:
+            c.k, c.v = Tensor(c.k.data[rows]), Tensor(c.v.data[rows])
 
 
 def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
@@ -371,14 +388,16 @@ def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
     """Decoder pass over one new position per row, reading the earlier
     positions from state and appending this one's to it.
 
-    ids holds each row's newest decoder input token. The returned trace has
-    logits [B, 1, V]; up to float rounding they equal the last position of
-    forward() over the whole prefix, because causal attention lets a
-    position see exactly the ones before it. Inference only: the cache is
-    off the tape.
+    ids holds the newest decoder input token of each of state's rows. The
+    returned trace has logits [B, 1, V]; up to float rounding they equal the
+    last position of forward() over the whole prefix, because causal
+    attention lets a position see exactly the ones before it. Inference
+    only: the cache is off the tape.
     """
     tok = np.asarray(ids, dtype=np.int64).reshape(-1, 1)
-    start = state.tgt_valid.shape[1]
+    rows, start = state.tgt_valid.shape
+    if tok.shape[0] != rows:
+        raise ShapeError(f"decode_step got {tok.shape[0]} ids for {rows} rows")
     _check_length(model.config, "tgt", start + 1)
     state.tgt_valid = np.concatenate([state.tgt_valid, tok != pad_id], axis=1)
     trace = ForwardTrace(logits=None, src_valid=state.enc.src_valid, tgt_valid=state.tgt_valid)
@@ -399,33 +418,36 @@ def greedy_decode_batch(
     """Greedy decoding of a batch in lockstep; ties pick the lowest token id.
 
     The sources are encoded once; each step then runs the decoder over one
-    new position, reusing the earlier positions' keys and values.
+    new position of the rows still decoding, reusing their earlier
+    positions' keys and values. A row leaves the decode state at the step it
+    emits eos_id. At one position each row is computed on its own, so a
+    row's logits do not change when other rows leave.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     n = len(src_seqs)
-    outs: list[list[int]] = [[] for _ in range(n)]
     steps = min(max_len, model.config.max_positions - 1)
     if steps == 0 or n == 0:
-        return outs
+        return [[] for _ in range(n)]
     width = max(len(s) for s in src_seqs)
     src = np.full((n, width), pad_id, dtype=np.int64)
     for r, s in enumerate(src_seqs):
         src[r, : len(s)] = s
+    tokens = np.empty((n, steps), dtype=np.int64)
+    lengths = np.full(n, steps)
+    rows = np.arange(n)  # the batch indices of the rows still decoding
     nxt = np.full(n, bos_id, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
     with no_grad():
         state = DecodeState(encode(model, src, pad_id, a_bits=a_bits))
-        for _ in range(steps):
+        for t in range(steps):
             logits = decode_step(model, state, nxt, pad_id, a_bits=a_bits).logits
             nxt = logits.data[:, -1, :].argmax(axis=1)  # argmax -> lowest id on ties
-            for r in range(n):
-                if done[r]:
-                    continue
-                if nxt[r] == eos_id:
-                    done[r] = True
-                else:
-                    outs[r].append(int(nxt[r]))
-            if done.all():
-                break
-    return outs
+            tokens[rows, t] = nxt
+            going = nxt != eos_id
+            if not going.all():
+                lengths[rows[~going]] = t
+                if not going.any():
+                    break
+                rows, nxt = rows[going], nxt[going]
+                state.keep(going)
+    return [tokens[r, : lengths[r]].tolist() for r in range(n)]

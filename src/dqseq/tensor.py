@@ -5,7 +5,8 @@ op records one node on the active tape: its parents and a backward closure
 that keeps only what backward reads. Where that is an operand dequantized
 from integer codes (a recorded straight_through output with a .quant link),
 the node keeps the int8 codes and their scales instead, about a quarter of
-the bytes, and dequantizes them again in backward to the same float32 bits.
+the bytes, and backward dequantizes them again, once for all the nodes that
+keep them, to the same float32 bits.
 backward() consumes the tape in reverse, freeing each node, and adds
 gradients to leaves' .grad; zeroing is explicit.
 """
@@ -63,7 +64,8 @@ class Tensor:
     """An n-dimensional float32 array with an optional gradient buffer.
 
     quant, when set, is what the data was dequantized from: an object whose
-    values() gives the data's bits again, in data's shape or reshapeable to it.
+    values() gives the data's bits again, in data's shape or reshapeable to it,
+    and which takes the tape's holders and restored fields (straight_through).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "quant", "_tape", "_node_index",
@@ -174,12 +176,25 @@ def _kept(t: Tensor, needed: bool):
     not read it, else t's quantized link when it has one, else the array."""
     if not needed:
         return None
-    return t.data if t.quant is None else t.quant
+    if t.quant is None:
+        return t.data
+    t.quant.holders += 1
+    return t.quant
 
 
 def _restored(kept, shape) -> np.ndarray:
-    """The float32 array that _kept stands for, dequantized again if need be."""
-    return kept if isinstance(kept, np.ndarray) else kept.values().reshape(shape)
+    """The float32 array that _kept stands for, dequantized again if need be.
+
+    A link shared by several nodes (an attention block's query, key and
+    value linears read one) is dequantized once: the array stays on the
+    link until the last node that kept it has read it.
+    """
+    if isinstance(kept, np.ndarray):
+        return kept
+    arr = kept.values().reshape(shape) if kept.restored is None else kept.restored
+    kept.holders -= 1
+    kept.restored = arr if kept.holders else None
+    return arr
 
 
 def backward(loss: Tensor) -> None:
@@ -246,20 +261,31 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", out, (a, b), bwd)
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
     """x @ w + b as one node: [..., k] inputs, a [k, n] weight, an [n] bias.
 
-    The node keeps x only for w's gradient and w only for x's, each as its
-    quantized link when it has one (Tensor.quant), else as the float array.
+    With n_heads, the output of a [B, L, k] input is split into heads as it
+    is made: per-head values [B, H, L, n / H], or with keys per-head keys
+    [B, H, n / H, L], the layouts attention_context and attention_scores
+    read; backward merges the heads' gradients first. The node keeps x only
+    for w's gradient and w only for x's, each as its quantized link when it
+    has one (Tensor.quant), else as the float array.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     X, W = x.data, w.data
     if X.ndim < 2 or W.ndim != 2 or X.shape[-1] != W.shape[0] or b.shape != W.shape[1:]:
         raise ShapeError(f"linear needs [..., k] @ [k, n] + [n]: {X.shape} @ {W.shape} + {b.shape}")
+    if n_heads and (X.ndim != 3 or W.shape[1] % n_heads):
+        raise ShapeError(f"linear into {n_heads} heads needs [B, L, k] inputs and n a multiple "
+                         f"of {n_heads}: {X.shape} @ {W.shape}")
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
     x_kept, w_kept, x_shape, w_shape = _kept(x, need_w), _kept(w, need_x), X.shape, W.shape
+    axes, merge = ((0, 2, 3, 1), (0, 3, 1, 2)) if keys else ((0, 2, 1, 3), (0, 2, 1, 3))
+    out_shape = X.shape[:-1] + W.shape[1:]
 
     def bwd(g):
+        if n_heads:
+            g = g.transpose(merge).reshape(out_shape)
         g2 = g.reshape(-1, g.shape[-1])
         gx = g @ _restored(w_kept, w_shape).T if need_x else None
         gw = _restored(x_kept, x_shape).reshape(-1, x_shape[-1]).T @ g2 if need_w else None
@@ -267,6 +293,8 @@ def linear(x, w, b) -> Tensor:
 
     out = X @ W
     out += b.data
+    if n_heads:
+        out = _to_heads(out, n_heads, axes)
     return _record("linear", out, (x, w, b), bwd)
 
 
@@ -431,23 +459,24 @@ def _to_heads(x: np.ndarray, n_heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
 
 
 def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
-    """Per-head q k^T / sqrt(D / n_heads) of [B, Lq, D] queries and [B, Lk, D]
-    keys, as [B, H, Lq, Lk], with fill wherever the constant boolean key_mask
-    (broadcast to the scores) is False; filled entries get zero gradient."""
+    """Per-head q k^T / sqrt(D / n_heads) of [B, Lq, D] queries and per-head
+    keys [B, H, D / H, Lk] (linear(..., n_heads, keys=True)), as [B, H, Lq, Lk],
+    with fill wherever the constant boolean key_mask (broadcast to the
+    scores) is False; filled entries get zero gradient."""
     q, k = _as_tensor(q), _as_tensor(k)
-    if q.data.ndim != 3 or k.data.ndim != 3 or q.shape[::2] != k.shape[::2] \
-            or q.shape[2] % n_heads:
-        raise ShapeError(f"attention_scores needs [B, L, D] q and k, D a multiple of {n_heads}; "
-                         f"got {q.shape} and {k.shape}")
+    kt, dh = k.data, q.shape[-1] // n_heads
+    if q.data.ndim != 3 or q.shape[2] % n_heads or kt.ndim != 4 \
+            or kt.shape[:3] != (q.shape[0], n_heads, dh):
+        raise ShapeError(f"attention_scores needs [B, L, D] q and [B, {n_heads}, D / {n_heads}, L] "
+                         f"k; got {q.shape} and {k.shape}")
     qh = _to_heads(q.data, n_heads)
-    kt = _to_heads(k.data, n_heads, (0, 2, 3, 1))  # [B, H, dh, Lk]
-    scale, keep = 1.0 / math.sqrt(q.shape[2] // n_heads), np.asarray(key_mask, dtype=bool)
+    scale, keep = 1.0 / math.sqrt(dh), np.asarray(key_mask, dtype=bool)
     out = qh @ kt
     out *= scale
     if np.broadcast_shapes(keep.shape, out.shape) != out.shape:
         raise ShapeError(f"mask {keep.shape} does not broadcast to {out.shape}")
     np.copyto(out, np.float32(fill), where=~keep)
-    q_shape, k_shape = q.shape, k.shape
+    q_shape = q.shape
     need_q, need_k = q.requires_grad, k.requires_grad
 
     def bwd(g):
@@ -457,7 +486,7 @@ def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
         if need_q:
             gq = (g @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(q_shape)
         if need_k:
-            gk = (np.swapaxes(qh, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(k_shape)
+            gk = np.swapaxes(qh, -1, -2) @ g
         return gq, gk
 
     return _record("attention_scores", out, (q, k), bwd)
@@ -466,13 +495,14 @@ def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
 def attention_context(scores, v, n_heads: int, rate: float,
                       rng: np.random.Generator | None) -> Tensor:
     """Softmax of [B, H, Lq, Lk] scores over the keys, inverted dropout at
-    rate, then each head's mix of [B, Lk, D] values, merged to [B, Lq, D]."""
+    rate, then each head's mix of per-head values [B, H, Lk, D / H]
+    (linear(..., n_heads)), merged to [B, Lq, D]."""
     scores, v = _as_tensor(scores), _as_tensor(v)
-    s = scores.data
-    if s.ndim != 4 or v.data.ndim != 3 or s.shape[:2] != (v.shape[0], n_heads) \
-            or s.shape[3] != v.shape[1] or v.shape[2] % n_heads:
-        raise ShapeError(f"attention_context needs [B, H, Lq, Lk] scores and [B, Lk, D] "
-                         f"values; got {s.shape} and {v.shape}")
+    s, vh = scores.data, v.data
+    if s.ndim != 4 or vh.ndim != 4 or s.shape[:2] != (vh.shape[0], n_heads) \
+            or vh.shape[1:3] != (n_heads, s.shape[3]):
+        raise ShapeError(f"attention_context needs [B, H, Lq, Lk] scores and [B, H, Lk, D / H] "
+                         f"values; got {s.shape} and {vh.shape}")
     # the keys' max plane by plane over a [Lk, ...] copy: exact, since max ignores order
     # (and a +-0 max gives the same exp), and far faster than a reduce over short rows
     y = s - np.maximum.reduce(np.ascontiguousarray(np.moveaxis(s, -1, 0)), axis=0)[..., None]
@@ -480,9 +510,8 @@ def attention_context(scores, v, n_heads: int, rate: float,
     y /= y.sum(axis=-1, keepdims=True)
     keep = _dropout_keep(y.shape, rate, rng) if rate else None
     probs = y if keep is None else y * keep
-    vh = _to_heads(v.data, n_heads)
     ctx = np.ascontiguousarray((probs @ vh).transpose(0, 2, 1, 3))  # [B, Lq, H, dh]
-    ctx_shape, v_shape = ctx.shape, v.shape
+    ctx_shape = ctx.shape
     need_s, need_v = scores.requires_grad, v.requires_grad
 
     def bwd(g):
@@ -495,7 +524,7 @@ def attention_context(scores, v, n_heads: int, rate: float,
             gs -= (gs * y).sum(axis=-1, keepdims=True)
             gs *= y
         if need_v:
-            gv = (np.swapaxes(probs, -1, -2) @ gh).transpose(0, 2, 1, 3).reshape(v_shape)
+            gv = np.swapaxes(probs, -1, -2) @ gh
         return gs, gv
 
     return _record("attention_context", ctx.reshape(s.shape[0], s.shape[2], -1), (scores, v), bwd)
@@ -530,8 +559,9 @@ def straight_through(x, values, quant=None) -> Tensor:
     if vals.shape != x.shape:
         raise ShapeError(f"straight_through values {vals.shape} != input {x.shape}")
     out = _record("straight_through", vals, (x,), lambda g: (g,))
-    if out.requires_grad:
+    if out.requires_grad and quant is not None:
         out.quant = quant
+        quant.holders, quant.restored = 0, None  # nodes that keep it; see _restored
     return out
 
 

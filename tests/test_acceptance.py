@@ -255,6 +255,9 @@ def test_gradients_match_finite_differences():
     def w64(out, shape):
         return float((out * mix(shape)).sum())
 
+    def heads(x, keys=False):  # two heads, made as the model makes keys and values
+        return linear(x, np.eye(4, dtype=np.float32), np.zeros(4, np.float32), 2, keys)
+
     a34, b34, m34 = T(3, 4), T(3, 4), T(3, 4)
     key_mask = np.ones((2, 1, 1, 5), bool)
     key_mask[0, ..., 3] = False  # one masked key in the first row
@@ -294,11 +297,12 @@ def test_gradients_match_finite_differences():
          lambda x, w, b: w32(linear(x, w, b), (2, 3, 5)),
          lambda x, w, b: w64(ref_linear(x, w, b), (2, 3, 5))),
         ("attention_scores masked key", (T(2, 3, 4), T(2, 5, 4)),
-         lambda q, k: w32(attention_scores(q, k, key_mask, 2, -2.0), (2, 2, 3, 5)),
+         lambda q, k: w32(attention_scores(q, heads(k, keys=True), key_mask, 2, -2.0),
+                          (2, 2, 3, 5)),
          lambda q, k: w64(ref_attention_scores(q, k, key_mask, 2, -2.0), (2, 2, 3, 5))),
         ("attention_context dropout", (T(2, 2, 3, 5), T(2, 5, 4)),
-         lambda s, v: w32(attention_context(s, v, 2, 0.5, np.random.default_rng(drop_seed)),
-                          (2, 3, 4)),
+         lambda s, v: w32(attention_context(s, heads(v), 2, 0.5,
+                                            np.random.default_rng(drop_seed)), (2, 3, 4)),
          lambda s, v: w64(ref_attention_context(s, v, 2, drop_keep((2, 2, 3, 5))), (2, 3, 4))),
         ("layer_norm", (T(3, 4), T(4), T(4)),
          lambda a, g, b: w32(layer_norm(a, g, b), (3, 4)),

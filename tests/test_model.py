@@ -1,5 +1,8 @@
 """Model: config validation, forward trace semantics, decoding, param counts."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -306,8 +309,47 @@ def test_incremental_decode_matches_full_recompute(briefly_trained, q, monkeypat
     monkeypatch.setattr(model, "decode_step", recording_step)
     assert greedy_decode_batch(view, srcs, BOS, EOS, cap, PAD, a_bits=q.a_bits) == want
     assert len(got_logits) == len(want_logits)
-    gap = max(float(np.abs(g - w).max()) for g, w in zip(got_logits, want_logits))
+    # step t decodes the rows that have not emitted EOS before it, in batch order
+    lengths = np.array([len(w) for w in want])
+    gap = max(float(np.abs(g - w[lengths >= t]).max())
+              for t, (g, w) in enumerate(zip(got_logits, want_logits)))
     assert gap <= LOGIT_TOL[q.a_bits], gap
+
+
+# sha256 of the json token lists that greedy decoding of the briefly trained
+# teacher's dev sources gave when every decode step still ran every row
+DECODE_SHA256 = {
+    "32-32-32": "53d3ad9423a2a46b5d24283580bab55df2227c3e531bc2550d8d8619ac61333b",
+    "8-8-8": "351ba4f9644aa3f904e6b4de34884c52455600c8ebb0f564628ec0335338edfc",
+    "2-2-8": "0342654ff174c3efcec1831eb840f8c2eefbf6c6508dcc398b8d0e572ba21cc6",
+}
+
+
+@pytest.mark.parametrize("q", [QuantConfig(), QuantConfig(8, 8, 8), QuantConfig(2, 2, 8)],
+                         ids=lambda q: q.label)
+def test_decode_steps_run_only_the_rows_still_decoding(briefly_trained, q, monkeypatch):
+    teacher, dev = briefly_trained
+    view = quantize_model(teacher, q)
+    srcs = [s for s, _ in dev.pairs]
+    cap = view.config.max_positions - 1
+    seen = []  # per step: the source mask and the ids of the rows decode_step got
+    step = model.decode_step
+
+    def recording_step(m, state, ids, *args, **kwargs):
+        seen.append((state.enc.src_valid.copy(), np.asarray(ids).tolist()))
+        return step(m, state, ids, *args, **kwargs)
+
+    monkeypatch.setattr(model, "decode_step", recording_step)
+    outs = greedy_decode_batch(view, srcs, BOS, EOS, cap, PAD, a_bits=q.a_bits)
+    assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == DECODE_SHA256[q.label]
+    src_valid = encode(view, [s + [PAD] * (max(map(len, srcs)) - len(s)) for s in srcs],
+                       PAD).src_valid
+    for t, (valid, ids) in enumerate(seen):
+        live = [r for r, o in enumerate(outs) if len(o) >= t]  # no EOS before step t
+        assert np.array_equal(valid, src_valid[live]), t
+        assert ids == [BOS if t == 0 else outs[r][t - 1] for r in live], t
+    rows = sum(len(ids) for _, ids in seen)
+    assert rows == sum(min(len(o) + 1, cap) for o in outs) < len(outs) * cap
 
 
 def test_decode_step_rejects_positions_past_max():

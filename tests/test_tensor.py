@@ -38,7 +38,7 @@ from dqseq.tensor import (
     transpose,
 )
 
-from dqseq import model, quantizer
+from dqseq import model, quantizer, tensor
 from dqseq.model import init_model
 from dqseq.quantizer import QuantConfig
 from dqseq.tasks import BOS, EOS, PAD
@@ -103,10 +103,18 @@ def test_matmul_batched_shapes():
         matmul(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((4, 3, 4))))
 
 
+def heads(x, n_heads, keys=False):
+    """[B, L, D] keys or values in the per-head layout the attention ops read,
+    made on the tape as the model makes them: by linear, here with an
+    identity weight and a zero bias."""
+    d = x.shape[-1]
+    return linear(x, np.eye(d, dtype=np.float32), np.zeros(d, np.float32), n_heads, keys)
+
+
 def _probs(scores):
     """attention_context's softmax rows: one head over identity values."""
     n = scores.shape[-1]
-    return attention_context(Tensor(scores.reshape(1, 1, -1, n)), Tensor(np.eye(n)[None]),
+    return attention_context(Tensor(scores.reshape(1, 1, -1, n)), Tensor(np.eye(n)[None, None]),
                              1, 0.0, None).data[0]
 
 
@@ -216,7 +224,7 @@ def test_attention_scores_mask_values_and_grad():
     k = Tensor(np.ones((1, 2, 2)), requires_grad=True)
     keep = np.array([[True, False], [False, True]])
     with Tape():
-        out = attention_scores(q, k, keep, 1, -1e9)
+        out = attention_scores(q, heads(k, 1, keys=True), keep, 1, -1e9)
         backward(sum_all(out))
     # one head of width 2 scales by 1/sqrt(2); q . k of ones is 2
     s = np.float32(1 / math.sqrt(2))
@@ -225,7 +233,7 @@ def test_attention_scores_mask_values_and_grad():
     assert np.array_equal(q.grad, np.full((1, 2, 2), s, np.float32))
     assert np.array_equal(k.grad, np.full((1, 2, 2), s, np.float32))
     with pytest.raises(ShapeError, match="mask"):
-        attention_scores(q, k, np.ones((1, 1, 2, 2, 2), bool), 1, -1e9)
+        attention_scores(q, heads(k, 1, keys=True), np.ones((1, 1, 2, 2, 2), bool), 1, -1e9)
 
 
 def test_attention_softmax_max_matches_row_max_on_masked_scores():
@@ -242,7 +250,8 @@ def test_attention_softmax_max_matches_row_max_on_masked_scores():
     y /= y.sum(axis=-1, keepdims=True)
     vh = np.ascontiguousarray(v.reshape(2, 5, 2, 2).transpose(0, 2, 1, 3))
     want = np.ascontiguousarray((y @ vh).transpose(0, 2, 1, 3)).reshape(2, 3, 4)
-    assert np.array_equal(attention_context(Tensor(s), Tensor(v), 2, 0.0, None).data, want)
+    assert np.array_equal(attention_context(Tensor(s), heads(v, 2), 2, 0.0, None).data,
+                          want)
 
 
 def test_cross_entropy_row_max_matches_logits_max_bit_for_bit():
@@ -280,12 +289,12 @@ def test_cross_entropy_row_max_matches_logits_max_bit_for_bit():
 def test_attention_context_dropout_draws_like_dropout():
     rng = np.random.default_rng(0)
     s, v = rand(rng, 2, 2, 3, 4), rand(rng, 2, 4, 6)
-    out = attention_context(Tensor(s), Tensor(v), 2, 0.3, np.random.default_rng(9))
+    out = attention_context(Tensor(s), heads(v, 2), 2, 0.3, np.random.default_rng(9))
     keep = dropout(Tensor(np.ones(s.shape)), 0.3, np.random.default_rng(9)).data
     want = oracles.ref_attention_context(s.astype(np.float64), v.astype(np.float64), 2, keep)
     assert np.allclose(out.data, want, atol=1e-5)
     with pytest.raises(ValueError, match="rng"):
-        attention_context(Tensor(s), Tensor(v), 2, 0.3, None)
+        attention_context(Tensor(s), heads(v, 2), 2, 0.3, None)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +501,35 @@ def test_linear_grads_from_codes_equal_float_path(make_x, make_w, links):
         assert got.tobytes() == want.tobytes()
 
 
+def test_dq_step_dequantizes_each_activation_link_once(ladder_dq_inputs, monkeypatch):
+    # an attention block's query, key and value linears keep one quantized
+    # input, and every decoder layer's cross-attention key and value linears
+    # keep the encoder memory's, so a 2-2-8 dq step's backward dequantizes 22
+    # activation links where one restore per node made 33, to the same bits
+    teacher, student, lmap, batch = ladder_dq_inputs
+    restores = []
+    values = quantizer.QuantizedTensor.values
+
+    def counting_values(q):
+        restores.append(q.bits)
+        return values(q)
+
+    def step_grads():
+        s = student.copy()
+        distillation_aware_step(s, teacher, batch, QuantConfig(2, 2, 8), lmap, Adam(s.params), 1e-3)
+        return [t.grad for t in s.params.values()]
+
+    monkeypatch.setattr(quantizer.QuantizedTensor, "values", counting_values)
+    shared = step_grads()
+    assert restores.count(8) == 22  # the weights' 2-bit links are read by one node each
+    del restores[:]
+    monkeypatch.setattr(tensor, "_restored", lambda kept, shape: kept if isinstance(
+        kept, np.ndarray) else kept.values().reshape(shape))
+    fresh = step_grads()
+    assert restores.count(8) == 33
+    assert [g.tobytes() for g in shared] == [g.tobytes() for g in fresh]
+
+
 def test_no_link_off_the_tape(ladder_dq_inputs, monkeypatch):
     # decoding and evaluation build no codes for backward: no_grad, or no tape at all
     x = Tensor(np.float32([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
@@ -569,13 +607,13 @@ def test_grad_softmax_layer_norm():
         x = rand(rng, 3, 6)
         keep = rng.random((2, 1, 3, 6)) > 0.3
         check_grads(  # softmax inside attention_context, then the value mix
-            lambda a, v: attention_context(a, v, 2, 0.0, None),
+            lambda a, v: attention_context(a, heads(v, 2), 2, 0.0, None),
             lambda a, v: oracles.ref_attention_context(a, v, 2),
             [rand(rng, 2, 2, 3, 6), rand(rng, 2, 6, 4)],
             f"sm{s}",
         )
         check_grads(
-            lambda q, k: attention_scores(q, k, keep, 2, -4.0),
+            lambda q, k: attention_scores(q, heads(k, 2, keys=True), keep, 2, -4.0),
             lambda q, k: oracles.ref_attention_scores(q, k, keep, 2, -4.0),
             [rand(rng, 2, 3, 4), rand(rng, 2, 6, 4)],
             f"as{s}",
