@@ -16,8 +16,9 @@ The timers wrap module-level names from outside ``src/``, as
 ``model.quantize_activation``, and the phases ``encode``, ``decode_step``
 and, where they exist, ``DecodeState.keep`` and ``_KVCache.append``. An
 op's self time leaves out the wrapped calls made inside it. Times are ms
-per batch and calls are per batch. The last line of stdout is one JSON
-object.
+per batch and calls are per batch; us/call (``us_per_call``) is the
+inclusive time of one call, which shows an op's fixed per-call cost. The
+last line of stdout is one JSON object.
 """
 
 import argparse
@@ -126,16 +127,20 @@ def main() -> int:
         "phase": timer.table("phase", args.batches),
         "forward": timer.table("forward", args.batches),
     }
+    for tab in ("phase", "forward"):
+        for row in result[tab].values():
+            row["us_per_call"] = round(row["ms"] * 1e3 / row["calls"], 2)
     print(f"{args.batches} batches of {size.batch} rows to the {cap}-token cap: plain batch p10 "
           f"{result['batch_ms_p10']} ms, median {result['batch_ms_median']} ms")
     print(f"rows decoded at each step, per batch ({result['row_steps']} row-steps; "
           f"{width} if every row ran each of its batch's steps):")
     for r in rows:
         print("  " + " ".join(f"{n:>2}" for n in r))
-    print(f"  {'phase / op':<26}{'ms':>9}{'self ms':>9}{'calls':>8}")
+    print(f"  {'phase / op':<26}{'ms':>9}{'self ms':>9}{'calls':>8}{'us/call':>9}")
     for tab in ("phase", "forward"):
         for name, row in sorted(result[tab].items(), key=lambda kv: -kv[1]["ms"]):
-            print(f"  {name:<26}{row['ms']:>9.3f}{row['self_ms']:>9.3f}{row['calls']:>8.1f}")
+            print(f"  {name:<26}{row['ms']:>9.3f}{row['self_ms']:>9.3f}{row['calls']:>8.1f}"
+                  f"{row['us_per_call']:>9.2f}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

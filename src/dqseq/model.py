@@ -240,7 +240,7 @@ def _embed(p, ids: np.ndarray, start: int, d_model: int, drop, rng) -> Tensor:
     """Token plus positional embeddings of ids at positions start, start + 1, ..."""
     b, l = ids.shape
     tok = scale(embedding_gather(p["embed.tok"], ids), math.sqrt(d_model))
-    positions = np.broadcast_to(np.arange(start, start + l, dtype=np.int64), (b, l))
+    positions = np.arange(start, start + l, dtype=np.int64)[None].repeat(b, axis=0)
     pos = embedding_gather(p["embed.pos"], positions)
     return dropout(add(tok, pos), drop, rng)
 
@@ -380,7 +380,8 @@ class DecodeState:
                            [], [])
         self.tgt_valid = self.tgt_valid[rows]
         for c in self.caches:
-            c.k, c.v = Tensor(c.k.data[rows]), Tensor(c.v.data[rows])
+            if c.k is not None:  # empty until the first decode_step
+                c.k, c.v = Tensor(c.k.data[rows]), Tensor(c.v.data[rows])
 
 
 def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,

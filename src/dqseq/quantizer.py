@@ -17,6 +17,7 @@ from .tensor import Tensor, active_tape, straight_through
 ALLOWED_WEIGHT_BITS = (2, 4, 8, 32)
 ALLOWED_ACTIVATION_BITS = (8, 32)
 PACKED_BITS = (2, 4, 8)  # code widths the storage layout packs
+_CODE_MIN, _CODE_MAX = np.float32(-127), np.float32(127)  # 8-bit activation codes
 
 # parameter categories, as reported by model.param_specs
 WEIGHT = "weight"
@@ -165,11 +166,14 @@ def _checked_alpha(alpha, shape: tuple[int, ...]) -> np.ndarray:
     return alpha
 
 
+_SIGN_BIT, _HALF_BITS = np.uint32(0x80000000), np.uint32(0x3F000000)  # float32 -0.0 and 0.5
+
+
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     """Round a float32 buffer half away from zero, in place; returns it."""
     # 0.5 carrying x's sign bit, as np.copysign(0.5, x) gives, from two integer ops
-    half = x.view(np.uint32) & np.uint32(0x80000000)
-    half |= np.uint32(0x3F000000)
+    half = x.view(np.uint32) & _SIGN_BIT
+    half |= _HALF_BITS
     x += half.view(np.float32)
     return np.trunc(x, out=x)
 
@@ -254,15 +258,16 @@ def quantize_activation(x: Tensor, a_bits: int) -> Tensor:
     if x.size == 0:
         return x
     data = x.data
-    alpha = np.max(np.abs(data), axis=-1, keepdims=True, initial=0.0)
+    alpha = np.maximum.reduce(np.abs(data), axis=-1, keepdims=True, initial=0.0)
     alpha /= np.float32(127)
-    zero = alpha == 0.0
-    any_zero = bool(zero.any())
+    any_zero = np.count_nonzero(alpha) < alpha.size
     if any_zero:
+        zero = alpha == 0.0
         alpha[zero] = 1.0
-    # round, clamp and rescale in place on the output buffer, which straight_through keeps
+    # round, clamp (keeping NaN and -0.0) and rescale in place on the output buffer,
+    # which straight_through keeps
     vals = _round_half_away(data / alpha)
-    np.clip(vals, -127, 127, out=vals)
+    vals.clip(_CODE_MIN, _CODE_MAX, out=vals)
     link = None
     if x.requires_grad and active_tape() is not None and not any_zero \
             and np.isfinite(alpha).all():

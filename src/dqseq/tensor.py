@@ -51,6 +51,7 @@ def _keep_freed_memory_mapped() -> None:
 _keep_freed_memory_mapped()
 
 _TAPE_STACK: list["Tape | None"] = []
+_F32 = np.dtype(np.float32)
 _NAN_CHECKS = False
 
 
@@ -72,10 +73,13 @@ class Tensor:
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float32)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        # a C-contiguous float32 ndarray is adopted as it is; anything else is copied
+        # (np.asarray, not np.ascontiguousarray, which would make a 0-d input 1-d)
+        if type(data) is not np.ndarray or data.dtype is not _F32 or not data.flags.c_contiguous:
+            data = np.asarray(data, dtype=np.float32)
+            if not data.flags.c_contiguous:
+                data = np.ascontiguousarray(data)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
@@ -380,11 +384,18 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
         )
-    # add.reduce(...) / d rounds as .mean does, without its float64 divisor
+    # add.reduce(...) / d rounds as .mean does, without its float64 divisor; the mean
+    # and 1 / sqrt(var + eps) are made in place, rounded step by step as written
     x, G = a.data, gain.data
-    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= d
+    xhat = x - mean
     out = xhat * xhat
-    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + eps)
+    inv = np.add.reduce(out, axis=-1, keepdims=True)
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     xhat *= inv
     np.multiply(xhat, G, out=out)
     out += bias.data
@@ -473,9 +484,10 @@ def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
     scale, keep = 1.0 / math.sqrt(dh), np.asarray(key_mask, dtype=bool)
     out = qh @ kt
     out *= scale
-    if np.broadcast_shapes(keep.shape, out.shape) != out.shape:
-        raise ShapeError(f"mask {keep.shape} does not broadcast to {out.shape}")
-    np.copyto(out, np.float32(fill), where=~keep)
+    try:
+        np.copyto(out, np.float32(fill), where=~keep)
+    except ValueError:
+        raise ShapeError(f"mask {keep.shape} does not broadcast to {out.shape}") from None
     q_shape = q.shape
     need_q, need_k = q.requires_grad, k.requires_grad
 
@@ -505,9 +517,9 @@ def attention_context(scores, v, n_heads: int, rate: float,
                          f"values; got {s.shape} and {vh.shape}")
     # the keys' max plane by plane over a [Lk, ...] copy: exact, since max ignores order
     # (and a +-0 max gives the same exp), and far faster than a reduce over short rows
-    y = s - np.maximum.reduce(np.ascontiguousarray(np.moveaxis(s, -1, 0)), axis=0)[..., None]
+    y = s - np.maximum.reduce(np.ascontiguousarray(s.transpose(3, 0, 1, 2)), axis=0)[..., None]
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     keep = _dropout_keep(y.shape, rate, rng) if rate else None
     probs = y if keep is None else y * keep
     ctx = np.ascontiguousarray((probs @ vh).transpose(0, 2, 1, 3))  # [B, Lq, H, dh]

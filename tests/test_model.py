@@ -352,6 +352,26 @@ def test_decode_steps_run_only_the_rows_still_decoding(briefly_trained, q, monke
     assert rows == sum(min(len(o) + 1, cap) for o in outs) < len(outs) * cap
 
 
+def test_keep_before_the_first_step_decodes_as_the_kept_rows_alone():
+    view = quantize_model(toy_model(seed=4), QuantConfig(2, 2, 8))
+    src = np.random.default_rng(6).integers(4, TOY.vocab_size, size=(5, 6))
+    src[1, 3:] = src[3, 4:] = PAD
+    going = np.array([True, False, True, True, False])
+
+    def tokens(state, steps=6):
+        ids, out = np.full(state.tgt_valid.shape[0], BOS), []
+        for _ in range(steps):
+            ids = decode_step(view, state, ids, PAD, a_bits=8).logits.data[:, -1].argmax(axis=1)
+            out.append(ids)
+        return np.stack(out, axis=1)
+
+    want = tokens(DecodeState(encode(view, src[going], PAD, a_bits=8)))
+    for rows in (going, np.flatnonzero(going)):
+        state = DecodeState(encode(view, src, PAD, a_bits=8))
+        state.keep(rows)  # before any decode_step: the caches are still empty
+        assert np.array_equal(tokens(state), want)
+
+
 def test_decode_step_rejects_positions_past_max():
     m = toy_model()
     state = DecodeState(encode(m, [[4, 5]], PAD))

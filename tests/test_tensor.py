@@ -234,6 +234,8 @@ def test_attention_scores_mask_values_and_grad():
     assert np.array_equal(k.grad, np.full((1, 2, 2), s, np.float32))
     with pytest.raises(ShapeError, match="mask"):
         attention_scores(q, heads(k, 1, keys=True), np.ones((1, 1, 2, 2, 2), bool), 1, -1e9)
+    with pytest.raises(ShapeError, match="mask"):  # the wrong key length
+        attention_scores(q, heads(k, 1, keys=True), np.ones((1, 1, 1, 3), bool), 1, -1e9)
 
 
 def test_attention_softmax_max_matches_row_max_on_masked_scores():
@@ -252,6 +254,101 @@ def test_attention_softmax_max_matches_row_max_on_masked_scores():
     want = np.ascontiguousarray((y @ vh).transpose(0, 2, 1, 3)).reshape(2, 3, 4)
     assert np.array_equal(attention_context(Tensor(s), heads(v, 2), 2, 0.0, None).data,
                           want)
+
+
+def test_tensor_adopts_contiguous_float32_arrays_and_copies_the_rest():
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    assert Tensor(a).data is a
+    vals = a + 1
+    assert straight_through(Tensor(a), vals).data is vals  # as its docstring promises
+    for other in (a.T, a[:, ::2], a.astype(np.float64), a.tolist()):
+        t = Tensor(other)
+        assert t.data.dtype == np.float32 and t.data.flags.c_contiguous
+        assert np.array_equal(t.data, np.asarray(other)) and not np.shares_memory(t.data, a)
+    for scalar in (np.array(2.0, np.float32), np.float32(2.0), np.array(2.0), 2.0):
+        assert Tensor(scalar).shape == ()  # 0-d stays 0-d
+
+
+def _bits(*arrays) -> str:
+    """sha256 of arrays' shapes, dtypes and bytes (NaN payloads and -0.0 included)."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.shape}{a.dtype.str}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+_TINY = 2.0 ** -149  # the least float32 subnormal
+# rows of width 8 whose 8-bit fake-quantization hits each edge of the formula
+_ACTIVATION_ROWS = {
+    "zero": [0.0] * 8,
+    "minus_zero": [-0.0] * 8,
+    "signed_zeros": [-0.0, 0.0, 1.0, -0.0, -1.0, 0.0, -0.0, 0.5],
+    "halves": [127.0, 0.5, 1.5, -2.5, -0.5, 126.5, -126.5, 3.5],
+    # alpha rounds to 16 * 2^-149, so 2042 * 2^-149 gives the quotient 127.625: 128 before
+    # the clamp
+    "subnormal": [x * _TINY for x in (2042, -2042, 2041, 1016, -1017, 8, -8, 0)],
+    "inf": [np.inf, 1.0, -1.0, 0.0, 2.0, -0.0, 3.0, 4.0],
+    "minus_inf": [1.0, -np.inf, 0.5, 0.0, 2.0, -3.0, 3.0, 4.0],
+    "nan": [1.0, 2.0, np.nan, -1.0, 0.0, 5.0, -0.0, 4.0],
+    "inf_nan": [np.inf, np.nan, -np.inf, 0.0, 1.0, -1.0, 2.0, 3.0],
+}
+_LINKED = ("signed_zeros", "halves", "subnormal")  # every scale finite and nonzero
+FROZEN_OP_BITS = {
+    "activation": "c21d74c541bbcf925513a9cdad6c0bba3d5cdf43862ac70a09e7a0b3da6985d2",
+    "activation_link": "a386766eea9646a83af774c95e447354db53c83cb2ecd58ccb295fbd175b4fa0",
+    "ops_1": "8148117e5a73c537c4ed52ca3883c8017709fbbba486e9dae554d385a9c914d1",
+    "ops_4": "d1cef64cc8a3133217db4462f6e2ea090740b5d17525b4fa104b445d74f7b24a",
+    "ops_32": "cf47f6d15274aed70861cad607f770bc151a716c29dc13039487f6807b86a23f",
+}
+
+
+def test_decode_step_op_bits_are_frozen():
+    # sha256s of these ops' outputs as first written, before their bodies were cut to
+    # fewer numpy calls: a rewrite keeps every bit, on the tape and off it
+    quantize_activation = quantizer.quantize_activation
+    rows = np.array(list(_ACTIVATION_ROWS.values()), np.float32)[:, None, :]
+    with no_grad(), np.errstate(invalid="ignore"):
+        off = quantize_activation(Tensor(rows), 8).data
+    x = Tensor(rows, requires_grad=True)
+    with Tape(), np.errstate(invalid="ignore"):
+        on = quantize_activation(x, 8)
+    assert on.quant is None and _bits(on.data) == _bits(off)
+    got = {"activation": _bits(off)}
+    linked = np.array([_ACTIVATION_ROWS[k] for k in _LINKED], np.float32)[:, None, :]
+    x = Tensor(linked, requires_grad=True)
+    with Tape():
+        on = quantize_activation(x, 8)
+    with no_grad():
+        assert _bits(quantize_activation(Tensor(linked), 8).data) == _bits(on.data)
+    codes = on.quant.codes
+    assert np.abs(codes[_LINKED.index("subnormal")]).max() == 127
+    got["activation_link"] = _bits(on.data, codes, on.quant.alpha)
+
+    rng = np.random.default_rng(14)
+    for n in (1, 4, 32):
+        x = rand(rng, n, 1, 64) * np.float32(3.0) + np.float32(0.5)
+        gain, bias = rand(rng, 64), rand(rng, 64)
+        k, v = rand(rng, n, 4, 16, 6), rand(rng, n, 4, 6, 16)
+        valid = rng.random((n, 6)) < 0.7
+        valid[:, 0] = True
+        mask = valid[:, None, None, :]
+
+        def ops(x):
+            ln = layer_norm(x, Tensor(gain), Tensor(bias))
+            s = attention_scores(ln, Tensor(k), mask, 4, -1e9)
+            return ln, s, attention_context(s, Tensor(v), 4, 0.0, None)
+
+        with no_grad():
+            outs = [t.data for t in ops(Tensor(x))]
+        xt = Tensor(x, requires_grad=True)
+        with Tape():
+            taped = ops(xt)
+            backward(sum_all(mul(taped[2], Tensor(rand(rng, n, 1, 64)))))
+        assert [_bits(t.data) for t in taped] == [_bits(o) for o in outs]
+        got[f"ops_{n}"] = _bits(*outs, xt.grad)
+    assert got == FROZEN_OP_BITS
 
 
 def test_cross_entropy_row_max_matches_logits_max_bit_for_bit():
