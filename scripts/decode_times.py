@@ -15,10 +15,13 @@ The timers wrap module-level names from outside ``src/``, as
 ``scripts/op_times.py`` does: every tensor op as ``model`` resolves it,
 ``model.quantize_activation``, and the phases ``encode``, ``decode_step``
 and, where they exist, ``DecodeState.keep`` and ``_KVCache.append``. An
-op's self time leaves out the wrapped calls made inside it. Times are ms
-per batch and calls are per batch; us/call (``us_per_call``) is the
-inclusive time of one call, which shows an op's fixed per-call cost. The
-last line of stdout is one JSON object.
+op's calls are timed apart by the phase that makes them: ``encode`` runs
+whole sources, ``decode_step`` one position a row. An op's self time
+leaves out the wrapped calls made inside it. Times are ms per batch and
+calls are per batch; us/call (``us_per_call``) is the inclusive time of
+one call, which shows an op's fixed per-call cost. The JSON's ``forward``
+table merges the phases and ``forward_by_phase`` holds one table per
+phase. The last line of stdout is one JSON object.
 """
 
 import argparse
@@ -46,8 +49,40 @@ from op_times import NOT_OPS, OpTimer  # noqa: E402
 _now = time.perf_counter_ns
 
 
+PHASES = ("encode", "decode_step")
+
+
 class DecodeTimer(OpTimer):
-    """OpTimer over the names greedy decoding calls."""
+    """OpTimer over the names greedy decoding calls; each op's calls go to
+    the table "forward <phase>" of the phase that makes them."""
+
+    def __init__(self):
+        super().__init__()
+        self.phase = None
+
+    def by_phase(self, name: str, fn):
+        timed = {phase: self.timed(f"forward {phase}", name, fn) for phase in PHASES}
+        return lambda *args, **kwargs: timed[self.phase](*args, **kwargs)
+
+    def entering(self, phase: str, fn):
+        timed = self.timed("phase", phase, fn)
+
+        def wrapper(*args, **kwargs):
+            outer, self.phase = self.phase, phase
+            try:
+                return timed(*args, **kwargs)
+            finally:
+                self.phase = outer
+
+        return wrapper
+
+    def merged(self, steps: int) -> dict[str, dict[str, float]]:
+        """The forward table over both phases."""
+        for (tab, op), row in list(self.rows.items()):
+            if tab.startswith("forward "):
+                total = self.rows[("forward", op)]
+                total[:] = [a + b for a, b in zip(total, row)]
+        return self.table("forward", steps)
 
     def install(self) -> None:
         ops = {fn: name for name, fn in vars(tensor).items()
@@ -55,11 +90,11 @@ class DecodeTimer(OpTimer):
                and not name.startswith("_") and name not in NOT_OPS}
         for attr, fn in list(vars(model).items()):
             if inspect.isfunction(fn) and fn in ops:
-                self._patch(model, attr, self.timed("forward", ops[fn], fn))
+                self._patch(model, attr, self.by_phase(ops[fn], fn))
         self._patch(model, "quantize_activation",
-                    self.timed("forward", "quantize_activation", model.quantize_activation))
-        for attr in ("encode", "decode_step"):
-            self._patch(model, attr, self.timed("phase", attr, getattr(model, attr)))
+                    self.by_phase("quantize_activation", model.quantize_activation))
+        for phase in PHASES:
+            self._patch(model, phase, self.entering(phase, getattr(model, phase)))
         for owner, attr in ((model.DecodeState, "keep"), (model._KVCache, "append")):
             if hasattr(owner, attr):  # a checkout older than row dropping has no keep
                 name = f"{owner.__name__}.{attr}"
@@ -125,10 +160,13 @@ def main() -> int:
         "row_steps": sum(map(sum, rows)),
         "row_steps_if_every_row_ran": width,
         "phase": timer.table("phase", args.batches),
-        "forward": timer.table("forward", args.batches),
+        "forward_by_phase": {phase: timer.table(f"forward {phase}", args.batches)
+                             for phase in PHASES},
+        "forward": timer.merged(args.batches),
     }
-    for tab in ("phase", "forward"):
-        for row in result[tab].values():
+    tables = {"phase": result["phase"], **result["forward_by_phase"], "forward": result["forward"]}
+    for table in tables.values():
+        for row in table.values():
             row["us_per_call"] = round(row["ms"] * 1e3 / row["calls"], 2)
     print(f"{args.batches} batches of {size.batch} rows to the {cap}-token cap: plain batch p10 "
           f"{result['batch_ms_p10']} ms, median {result['batch_ms_median']} ms")
@@ -136,9 +174,10 @@ def main() -> int:
           f"{width} if every row ran each of its batch's steps):")
     for r in rows:
         print("  " + " ".join(f"{n:>2}" for n in r))
-    print(f"  {'phase / op':<26}{'ms':>9}{'self ms':>9}{'calls':>8}{'us/call':>9}")
-    for tab in ("phase", "forward"):
-        for name, row in sorted(result[tab].items(), key=lambda kv: -kv[1]["ms"]):
+    for title, table in tables.items():
+        print(f"  {title + ' ops' if title in PHASES else title:<26}{'ms':>9}{'self ms':>9}"
+              f"{'calls':>8}{'us/call':>9}")
+        for name, row in sorted(table.items(), key=lambda kv: -kv[1]["ms"]):
             print(f"  {name:<26}{row['ms']:>9.3f}{row['self_ms']:>9.3f}{row['calls']:>8.1f}"
                   f"{row['us_per_call']:>9.2f}")
     print(json.dumps(result, sort_keys=True))

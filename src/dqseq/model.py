@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantizer import EMBEDDING, EXCLUDED, WEIGHT, quantize_activation
+from .tasks import pad_batch
 from .tensor import (
     ShapeError,
     Tensor,
@@ -63,7 +64,7 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must be >= 5, got {self.vocab_size}")
         if self.n_enc_layers < 1 or self.n_dec_layers < 1:
             raise ConfigError("layer counts must be >= 1")
-        if self.d_model < 1 or self.d_ff < 1 or self.max_positions < 2:
+        if self.d_model < 1 or self.d_ff < 1 or self.n_heads < 1 or self.max_positions < 2:
             raise ConfigError("dimensions must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
@@ -430,10 +431,7 @@ def greedy_decode_batch(
     steps = min(max_len, model.config.max_positions - 1)
     if steps == 0 or n == 0:
         return [[] for _ in range(n)]
-    width = max(len(s) for s in src_seqs)
-    src = np.full((n, width), pad_id, dtype=np.int64)
-    for r, s in enumerate(src_seqs):
-        src[r, : len(s)] = s
+    src = pad_batch(src_seqs, pad_id)
     tokens = np.empty((n, steps), dtype=np.int64)
     lengths = np.full(n, steps)
     rows = np.arange(n)  # the batch indices of the rows still decoding

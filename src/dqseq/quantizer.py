@@ -1,8 +1,9 @@
 """Symmetric low-bit weight and activation quantization.
 
-Two code assignments: linear grids for 4 bits and up, and ternary
-threshold codes for 2 bits. Forward values are dequantized back to float32;
-gradients pass straight through to the full-precision master tensors.
+One weight quantizer with two code assignments, ternary threshold codes at
+2 bits and linear grids at 4 and 8 bits. Forward values are dequantized back
+to float32; gradients pass straight through to the full-precision master
+tensors.
 """
 
 from __future__ import annotations
@@ -183,59 +184,44 @@ def _as_array(w) -> np.ndarray:
     return np.asarray(data, dtype=np.float32)
 
 
-def linear_quantize(w, n_bits: int, row_wise: bool = False) -> QuantizedTensor:
-    """Symmetric linear quantization to n_bits >= 3.
+def quantize(w, n_bits: int, row_wise: bool = False) -> QuantizedTensor:
+    """Symmetric weight quantization to 2, 4 or 8 bits, one scale per tensor
+    or, with row_wise, one per row of a 2-D tensor.
 
+    2 bits take ternary codes with the fixed-threshold heuristic:
+    delta = 0.7 * ||w||_1 / dim(w); codes are sign(w) where |w| exceeds
+    delta, else 0; alpha is the mean |w_i| over the above-threshold set,
+    which solves the scale least-squares exactly for fixed codes. An empty
+    above-threshold set gets alpha 0. 4 and 8 bits take the linear grid:
     alpha = max|w| / (2^(n_bits-1) - 1); codes round half away from zero
     and clamp to the symmetric integer range. An all-zero tensor gets
     alpha 0 and zero codes.
     """
+    if n_bits not in PACKED_BITS:
+        raise ValueError(f"weights quantize to one of {PACKED_BITS} bits, got {n_bits}")
+    arr = _as_array(w)
+    if row_wise and arr.ndim != 2:
+        raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
+    rows = arr if row_wise else arr.reshape(1, -1)  # per tensor: one row, one scale
     if n_bits == 2:
-        raise ValueError("2-bit weights use ternary codes: call twn_quantize")
-    if not 3 <= n_bits <= 8:
-        raise ValueError(f"linear_quantize supports 3..8 bits, got {n_bits}")
-    arr = _as_array(w)
-    if row_wise and arr.ndim != 2:
-        raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
-    th = 2 ** (n_bits - 1) - 1
-    rows = arr if row_wise else arr.reshape(1, -1)  # per tensor: one row, one scale
-    alpha = np.abs(rows).max(axis=1, initial=0.0) / np.float32(th)
-    # a zero scale (all-zero row, or max so small the scale underflows) gets zero codes
-    codes = _round_half_away(rows / np.where(alpha > 0, alpha, np.float32(1.0))[:, None])
-    codes[alpha == 0] = 0.0
-    codes = np.clip(codes, -th, th, out=codes).astype(np.int8).reshape(arr.shape)
-    return QuantizedTensor(alpha if row_wise else alpha[0], codes, n_bits, arr.shape)
-
-
-def twn_quantize(w, row_wise: bool = False) -> QuantizedTensor:
-    """Ternary quantization with the fixed-threshold heuristic.
-
-    delta = 0.7 * ||w||_1 / dim(w); codes are sign(w) where |w| exceeds
-    delta, else 0; alpha is the mean |w_i| over the above-threshold set,
-    which solves the scale least-squares exactly for fixed codes. An empty
-    above-threshold set gets alpha 0.
-    """
-    arr = _as_array(w)
-    if row_wise and arr.ndim != 2:
-        raise ValueError(f"row-wise quantization needs a 2-D tensor, got {arr.shape}")
-    rows = arr if row_wise else arr.reshape(1, -1)  # per tensor: one row, one scale
-    absw = np.abs(rows)
-    delta = np.float32(0.7) * absw.sum(axis=1, keepdims=True) / np.float32(max(rows.shape[1], 1))
-    codes = (rows > delta).view(np.int8) - (rows < -delta).view(np.int8)
-    above = absw > delta
-    # one count per row; over a whole tensor, count_nonzero without an axis is 10x faster
-    counts = np.asarray(np.count_nonzero(above, axis=1 if row_wise else None), np.float32)
-    absw *= above  # sum at full length, not absw[above]: the pairwise order fixes alpha's bits
-    alpha = np.where(counts > 0, absw.sum(axis=1) / np.maximum(counts, 1.0), 0.0)
-    return QuantizedTensor(alpha if row_wise else alpha[0], codes.reshape(arr.shape), 2,
+        absw = np.abs(rows)
+        delta = (np.float32(0.7) * absw.sum(axis=1, keepdims=True)
+                 / np.float32(max(rows.shape[1], 1)))
+        codes = (rows > delta).view(np.int8) - (rows < -delta).view(np.int8)
+        above = absw > delta
+        # one count per row; over a whole tensor, count_nonzero without an axis is 10x faster
+        counts = np.asarray(np.count_nonzero(above, axis=1 if row_wise else None), np.float32)
+        absw *= above  # sum at full length, not absw[above]: the pairwise order fixes alpha's bits
+        alpha = np.where(counts > 0, absw.sum(axis=1) / np.maximum(counts, 1.0), 0.0)
+    else:
+        th = 2 ** (n_bits - 1) - 1
+        alpha = np.abs(rows).max(axis=1, initial=0.0) / np.float32(th)
+        # a zero scale (all-zero row, or max so small the scale underflows) gets zero codes
+        codes = _round_half_away(rows / np.where(alpha > 0, alpha, np.float32(1.0))[:, None])
+        codes[alpha == 0] = 0.0
+        codes = np.clip(codes, -th, th, out=codes).astype(np.int8)
+    return QuantizedTensor(alpha if row_wise else alpha[0], codes.reshape(arr.shape), n_bits,
                            arr.shape)
-
-
-def quantize(w, n_bits: int, row_wise: bool = False) -> QuantizedTensor:
-    """Dispatch to the code assignment for the requested width."""
-    if n_bits == 2:
-        return twn_quantize(w, row_wise=row_wise)
-    return linear_quantize(w, n_bits, row_wise=row_wise)
 
 
 def quantize_activation(x: Tensor, a_bits: int) -> Tensor:

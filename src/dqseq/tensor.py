@@ -236,37 +236,14 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product. Supports [..., m, k] @ [..., k, n] with equal leading
-    dimensions, or a 2-D right operand shared across all leading dims."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    A, B = a.data, b.data
-    if A.ndim < 2 or B.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {A.shape} @ {B.shape}")
-    if A.shape[-1] != B.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {A.shape} @ {B.shape}")
-    if B.ndim != 2 and A.shape[:-2] != B.shape[:-2]:
-        raise ShapeError(f"matmul leading dimensions differ: {A.shape} @ {B.shape}")
-    out = A @ B
-    need_a, need_b = a.requires_grad, b.requires_grad
-    a_kept, a_shape = _kept(a, need_b), A.shape
-
-    def bwd(g):
-        ga = gb = None
-        if need_a:
-            ga = g @ (B.T if B.ndim == 2 else np.swapaxes(B, -1, -2))
-        if need_b:
-            A = _restored(a_kept, a_shape)
-            if B.ndim == 2 and A.ndim > 2:
-                gb = A.reshape(-1, A.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(A, -1, -2) @ g
-        return ga, gb
-
-    return _record("matmul", out, (a, b), bwd)
+    """a @ b of [..., k] inputs and a [k, n] right operand: linear without a bias."""
+    return linear(a, b, None)
 
 
 def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
-    """x @ w + b as one node: [..., k] inputs, a [k, n] weight, an [n] bias.
+    """x @ w + b as one node: [..., k] inputs, a [k, n] weight, an [n] bias
+    or None. Without a bias nothing is added, so a -0.0 product stays -0.0,
+    and the node has two parents.
 
     With n_heads, the output of a [B, L, k] input is split into heads as it
     is made: per-head values [B, H, L, n / H], or with keys per-head keys
@@ -275,14 +252,16 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
     for w's gradient and w only for x's, each as its quantized link when it
     has one (Tensor.quant), else as the float array.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
     X, W = x.data, w.data
-    if X.ndim < 2 or W.ndim != 2 or X.shape[-1] != W.shape[0] or b.shape != W.shape[1:]:
-        raise ShapeError(f"linear needs [..., k] @ [k, n] + [n]: {X.shape} @ {W.shape} + {b.shape}")
+    if X.ndim < 2 or W.ndim != 2 or X.shape[-1] != W.shape[0] \
+            or (b is not None and b.shape != W.shape[1:]):
+        bias = "" if b is None else f" + {b.shape}"
+        raise ShapeError(f"linear needs [..., k] @ [k, n] (+ [n]): {X.shape} @ {W.shape}{bias}")
     if n_heads and (X.ndim != 3 or W.shape[1] % n_heads):
         raise ShapeError(f"linear into {n_heads} heads needs [B, L, k] inputs and n a multiple "
                          f"of {n_heads}: {X.shape} @ {W.shape}")
-    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
     x_kept, w_kept, x_shape, w_shape = _kept(x, need_w), _kept(w, need_x), X.shape, W.shape
     axes, merge = ((0, 2, 3, 1), (0, 3, 1, 2)) if keys else ((0, 2, 1, 3), (0, 2, 1, 3))
     out_shape = X.shape[:-1] + W.shape[1:]
@@ -296,10 +275,11 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
         return gx, gw, (g2.sum(axis=0) if need_b else None)
 
     out = X @ W
-    out += b.data
+    if b is not None:
+        out += b.data
     if n_heads:
         out = _to_heads(out, n_heads, axes)
-    return _record("linear", out, (x, w, b), bwd)
+    return _record("linear", out, (x, w) if b is None else (x, w, b), bwd)
 
 
 def add(a, b) -> Tensor:

@@ -3,11 +3,17 @@
 Each test asserts its criterion at the stated tolerance and prints one line
 with the measured quantities, so `pytest -v` reads as a pass/fail report.
 The compression-ladder fixture trains real models and dominates the runtime
-(about 14 minutes on one CPU); everything else finishes in seconds.
+(about 7 minutes of training, spread over a small process pool); everything
+else finishes in seconds.
 """
 
+import hashlib
+import json
+import multiprocessing
+import os
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 import pytest
@@ -20,9 +26,8 @@ from dqseq.model import ModelConfig, forward, init_model, param_specs
 from dqseq.quantizer import (
     QuantConfig,
     QuantizedTensor,
-    linear_quantize,
+    quantize,
     quantize_params,
-    twn_quantize,
 )
 from dqseq.tasks import PAD, TaskSpec, generate_task
 from dqseq.tensor import (
@@ -113,10 +118,10 @@ def test_quantizers_match_independent_reference():
         w = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 0.3)).astype(np.float32)
         bits = (8, 4, 2)[i % 3]
         if bits == 2:
-            q = twn_quantize(w)
+            q = quantize(w, 2)
             alpha, codes = ref_twn_quantize(w)
         else:
-            q = linear_quantize(w, bits)
+            q = quantize(w, bits)
             alpha, codes = ref_linear_quantize(w, bits)
         assert q.alpha == alpha, (i, n, bits)
         assert np.array_equal(q.codes, codes), (i, n, bits)
@@ -275,9 +280,6 @@ def test_gradients_match_finite_differences():
         ("matmul", (T(3, 4), T(4, 5)),
          lambda a, b: w32(matmul(a, b), (3, 5)),
          lambda a, b: w64(a @ b, (3, 5))),
-        ("matmul batched", (T(2, 3, 4), T(2, 4, 5)),
-         lambda a, b: w32(matmul(a, b), (2, 3, 5)),
-         lambda a, b: w64(a @ b, (2, 3, 5))),
         ("matmul shared rhs", (T(2, 3, 4), T(4, 5)),
          lambda a, b: w32(matmul(a, b), (2, 3, 5)),
          lambda a, b: w64(a @ b, (2, 3, 5))),
@@ -380,7 +382,7 @@ def test_gradients_match_finite_differences():
 
     # quantization passes the loss gradient through to the master weight
     w = Tensor(np.array([0.4], np.float32), requires_grad=True)
-    q = linear_quantize(w.data, 8)
+    q = quantize(w.data, 8)
     with Tape():
         d = add(straight_through(w, q.values()), -0.1)
         backward(sum_all(mul(d, d)))
@@ -405,54 +407,82 @@ STUDENT_EPOCHS = 40
 LR = 1e-3
 
 
+# each seed's student runs against its teacher: name -> (mode, qconfig, dconfig).
+# ladder_secs sums the teacher and the first three, pair_secs the last two
+STUDENTS = {
+    "dq8": ("dq", QuantConfig(8, 8, 8), DistillConfig(2, 2)),
+    "dq2": ("dq", QuantConfig(2, 2, 8), DistillConfig(2, 2)),
+    "direct": ("direct_quant", QuantConfig(2, 2, 8), None),
+    "dq21": ("dq", QuantConfig(8, 8, 8), DistillConfig(2, 1)),
+    "d11": ("distill_only", None, DistillConfig(1, 1)),
+}
+
+
 def _best(meta) -> dict:
     return meta.history[meta.best_epoch]
 
 
+def _teacher_job(seed: int):
+    """(teacher, its best record, its own seconds)."""
+    splits = generate_task(LADDER_TASK)
+    t0 = time.perf_counter()
+    teacher, meta = train(
+        None, TrainConfig("teacher", epochs=TEACHER_EPOCHS, learning_rate=LR, seed=seed),
+        splits, model_config=LADDER_MODEL,
+    )
+    return teacher, _best(meta), time.perf_counter() - t0
+
+
+def _student_job(name: str, seed: int, teacher):
+    """(the run's record, its own seconds): the best epoch's, or direct
+    quantization's only one."""
+    mode, qconfig, dconfig = STUDENTS[name]
+    direct = mode == "direct_quant"
+    tconfig = (TrainConfig(mode, seed=seed) if direct else
+               TrainConfig(mode, epochs=STUDENT_EPOCHS, learning_rate=LR, seed=seed))
+    splits = generate_task(LADDER_TASK)
+    t0 = time.perf_counter()
+    _, meta = train(teacher, tconfig, splits, qconfig=qconfig, dconfig=dconfig)
+    return (meta.history[0] if direct else _best(meta)), time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def ladder():
-    splits = generate_task(LADDER_TASK)
-    runs = {k: [] for k in ("teacher", "dq8", "dq2", "direct", "dq21", "d11")}
-    teacher_secs = []
-    ladder_secs = 0.0
-    pair_secs = 0.0
-    for seed in SEEDS:
-        t0 = time.perf_counter()
-        teacher, tmeta = train(
-            None, TrainConfig("teacher", epochs=TEACHER_EPOCHS, learning_rate=LR, seed=seed),
-            splits, model_config=LADDER_MODEL,
-        )
-        teacher_secs.append(time.perf_counter() - t0)
-        runs["teacher"].append(_best(tmeta))
-
-        _, m = train(teacher, TrainConfig("dq", epochs=STUDENT_EPOCHS, learning_rate=LR, seed=seed),
-                     splits, qconfig=QuantConfig(8, 8, 8), dconfig=DistillConfig(2, 2))
-        runs["dq8"].append(_best(m))
-        _, m = train(teacher, TrainConfig("dq", epochs=STUDENT_EPOCHS, learning_rate=LR, seed=seed),
-                     splits, qconfig=QuantConfig(2, 2, 8), dconfig=DistillConfig(2, 2))
-        runs["dq2"].append(_best(m))
-        _, m = train(teacher, TrainConfig("direct_quant", seed=seed),
-                     splits, qconfig=QuantConfig(2, 2, 8))
-        runs["direct"].append(m.history[0])
-        ladder_secs += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        _, m = train(teacher, TrainConfig("dq", epochs=STUDENT_EPOCHS, learning_rate=LR, seed=seed),
-                     splits, qconfig=QuantConfig(8, 8, 8), dconfig=DistillConfig(2, 1))
-        runs["dq21"].append(_best(m))
-        _, m = train(teacher, TrainConfig("distill_only", epochs=STUDENT_EPOCHS,
-                                          learning_rate=LR, seed=seed),
-                     splits, dconfig=DistillConfig(1, 1))
-        runs["d11"].append(_best(m))
-        pair_secs += time.perf_counter() - t0
-    runs["teacher_secs"] = teacher_secs
-    runs["ladder_secs"] = ladder_secs
-    runs["pair_secs"] = pair_secs
-    return runs
+    """The ladder as a job graph: three teacher jobs, then each seed's five
+    student jobs, each given that seed's teacher pickled. The jobs run in
+    min(3, CPUs) spawned processes, each on one BLAS thread (conftest.py sets
+    it before numpy loads). Every job is seeded, so the records are those of
+    one process running them in turn, and the timings are each run's own."""
+    runs = {k: {} for k in ("teacher", *STUDENTS)}
+    secs = {k: {} for k in runs}
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(3, os.cpu_count() or 1), mp_context=spawn) as pool:
+        teachers = {pool.submit(_teacher_job, seed): seed for seed in SEEDS}
+        students = {}
+        for job in as_completed(teachers):
+            seed = teachers[job]
+            teacher, runs["teacher"][seed], secs["teacher"][seed] = job.result()
+            for name in STUDENTS:
+                students[pool.submit(_student_job, name, seed, teacher)] = name, seed
+        for job in as_completed(students):
+            name, seed = students[job]
+            runs[name][seed], secs[name][seed] = job.result()
+    out = {k: [by_seed[seed] for seed in SEEDS] for k, by_seed in runs.items()}
+    times = {k: [by_seed[seed] for seed in SEEDS] for k, by_seed in secs.items()}
+    out["teacher_secs"] = times["teacher"]
+    out["ladder_secs"] = sum(sum(times[k]) for k in ("teacher", "dq8", "dq2", "direct"))
+    out["pair_secs"] = sum(sum(times[k]) for k in ("dq21", "d11"))
+    return out
 
 
 def _median(records, key: str) -> float:
     return statistics.median(r[key] for r in records)
+
+
+def _records_sha256(ladder) -> str:
+    """sha256 of every run's history record, the same however the jobs ran."""
+    records = {k: ladder[k] for k in ("teacher", *STUDENTS)}
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.slow
@@ -472,7 +502,8 @@ def test_toy_compression_ladder_orderings(ladder):
     assert t >= q8 >= q2 >= dr, (t, q8, q2, dr)
     assert ladder["ladder_secs"] < 2700.0
     print(f"PASS ladder: median dev token acc teacher {t:.4f} >= 8-8-8 {q8:.4f} "
-          f">= 2-2-8 {q2:.4f} >= direct {dr:.4f} ({ladder['ladder_secs']:.0f} s)")
+          f">= 2-2-8 {q2:.4f} >= direct {dr:.4f} ({ladder['ladder_secs']:.0f} s; records "
+          f"sha256 {_records_sha256(ladder)[:16]})")
 
 
 @pytest.mark.slow

@@ -351,6 +351,8 @@ def test_non_utf8_name_is_rejected(tmp_path):
     lambda c: c.replace(b'"row_wise": false', b'"row_wise": 0'),
     lambda c: c.replace(b'"mode": "teacher"', b'"mode": "nope"'),
     lambda c: b"\xff" + c,
+    lambda c: c.replace(b'"n_heads": 2', b'"n_heads": 0'),
+    lambda c: c.replace(b'"n_heads": 2', b'"n_heads": -2'),
 ])
 def test_malformed_config_block_is_rejected(tmp_path, edit):
     blob = header(tmp_path)

@@ -9,12 +9,10 @@ from dqseq.quantizer import (
     QuantConfig,
     QuantizedTensor,
     PolicyError,
-    linear_quantize,
     pack_codes,
     packed_size,
     quantize,
     quantize_activation,
-    twn_quantize,
     _round_half_away,
     unpack_codes,
 )
@@ -32,31 +30,32 @@ finite_vectors = st.lists(
 
 
 def test_linear_quantize_8bit_example():
-    q = linear_quantize(np.float32([-1.0, 0.25, 0.5]), 8)
+    q = quantize(np.float32([-1.0, 0.25, 0.5]), 8)
     assert q.alpha == pytest.approx(1.0 / 127.0, rel=1e-6)
     assert q.codes.tolist() == [-127, 32, 64]
 
 
 def test_linear_quantize_4bit_rounds_half_away_from_zero():
-    q = linear_quantize(np.float32([0.7, -0.35]), 4)
+    q = quantize(np.float32([0.7, -0.35]), 4)
     assert q.alpha == pytest.approx(0.1, rel=1e-5)
     assert q.codes.tolist() == [7, -4]
 
 
 def test_linear_quantize_all_zero():
-    q = linear_quantize(np.zeros(5, np.float32), 8)
+    q = quantize(np.zeros(5, np.float32), 8)
     assert q.alpha == 0.0
     assert not q.codes.any()
     assert np.all(np.isfinite(q.values()))
 
 
-def test_linear_quantize_rejects_two_bits():
-    with pytest.raises(ValueError, match="twn_quantize"):
-        linear_quantize(np.float32([1.0]), 2)
+@pytest.mark.parametrize("n_bits", [1, 3, 5, 6, 7, 16, 32])
+def test_quantize_refuses_widths_other_than_2_4_8(n_bits):
+    with pytest.raises(ValueError, match=r"\(2, 4, 8\)"):
+        quantize(np.float32([1.0, -0.5]), n_bits)
 
 
 def test_twn_example():
-    q = twn_quantize(np.float32([0.1, -0.9, 0.5, -0.05]))
+    q = quantize(np.float32([0.1, -0.9, 0.5, -0.05]), 2)
     assert q.codes.tolist() == [0, -1, 1, 0]
     assert q.alpha == pytest.approx(0.7, rel=1e-6)
     # threshold value itself: 0.7 * 1.55 / 4
@@ -66,7 +65,7 @@ def test_twn_example():
 def test_twn_empty_above_threshold_set():
     # all mass below delta is impossible for nonzero w (delta < max|w|),
     # so force it with the genuinely degenerate all-zero tensor
-    q = twn_quantize(np.zeros(4, np.float32))
+    q = quantize(np.zeros(4, np.float32), 2)
     assert q.alpha == 0.0
     assert not q.codes.any()
 
@@ -120,7 +119,7 @@ def test_policy_bits():
 @settings(max_examples=120)
 @given(finite_vectors, st.sampled_from([4, 8]))
 def test_linear_matches_oracle_bit_exact(w, n_bits):
-    q = linear_quantize(w, n_bits)
+    q = quantize(w, n_bits)
     alpha, codes = oracles.ref_linear_quantize(w, n_bits)
     assert q.alpha.tobytes() == np.float32(alpha).tobytes()
     assert np.array_equal(q.codes, codes)
@@ -129,7 +128,7 @@ def test_linear_matches_oracle_bit_exact(w, n_bits):
 @settings(max_examples=120)
 @given(finite_vectors)
 def test_twn_matches_oracle_bit_exact(w):
-    q = twn_quantize(w)
+    q = quantize(w, 2)
     alpha, codes = oracles.ref_twn_quantize(w)
     assert q.alpha.tobytes() == np.float32(alpha).tobytes()
     assert np.array_equal(q.codes, codes)
@@ -138,7 +137,7 @@ def test_twn_matches_oracle_bit_exact(w):
 @settings(max_examples=100)
 @given(finite_vectors)
 def test_twn_threshold_set_identity_and_scale_optimality(w):
-    q = twn_quantize(w)
+    q = quantize(w, 2)
     delta = 0.7 * np.abs(w).sum() / w.size
     assert np.array_equal(q.codes != 0, np.abs(w) > delta)
     b = q.codes.astype(np.float64)
@@ -151,7 +150,7 @@ def test_twn_threshold_set_identity_and_scale_optimality(w):
 @settings(max_examples=100)
 @given(finite_vectors, st.sampled_from([4, 8]))
 def test_linear_reconstruction_error_bound(w, n_bits):
-    q = linear_quantize(w, n_bits)
+    q = quantize(w, n_bits)
     err = np.abs(w - q.values())
     assert np.all(err <= float(q.alpha) / 2 + 1e-7)
 
@@ -162,8 +161,8 @@ def test_linear_scale_equivariance(w, exp2):
     # powers of two scale exactly in binary floating point, as long as both
     # scales stay normal: a subnormal alpha has lost mantissa bits
     c = float(2.0**exp2)
-    base = linear_quantize(w, 8)
-    scaled = linear_quantize(w * np.float32(c), 8)
+    base = quantize(w, 8)
+    scaled = quantize(w * np.float32(c), 8)
     assume(min(base.alpha, scaled.alpha) >= np.finfo(np.float32).tiny)
     assert np.array_equal(base.codes, scaled.codes)
     assert float(scaled.alpha) == pytest.approx(abs(c) * float(base.alpha), rel=1e-6)
@@ -171,7 +170,7 @@ def test_linear_scale_equivariance(w, exp2):
 
 def test_linear_scale_underflow_gives_zero_codes():
     # max|w| / 127 rounds to 0 in float32: the tensor is stored as all zeros
-    q = linear_quantize(np.array([3e-45], np.float32), 8)
+    q = quantize(np.array([3e-45], np.float32), 8)
     assert float(q.alpha) == 0.0
     assert q.codes.tolist() == [0]
 
@@ -224,7 +223,7 @@ def test_row_wise_matches_oracle_bit_exact_on_edge_rows(bits):
 
 def test_twn_signed_zeros_match_oracle_bit_exact():
     for w in (np.float32([-0.0, 0.0, 1.0, -2.0, -0.0, 0.5]), np.full(5, -0.0, np.float32)):
-        q = twn_quantize(w)
+        q = quantize(w, 2)
         alpha, codes = oracles.ref_twn_quantize(w)
         assert q.alpha.tobytes() == np.float32(alpha).tobytes()
         assert np.array_equal(q.codes, codes)

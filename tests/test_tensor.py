@@ -95,12 +95,46 @@ def test_matmul_shapes():
 
 
 def test_matmul_batched_shapes():
-    out = matmul(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((5, 3, 4))))
-    assert out.shape == (5, 2, 4)
     out = matmul(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((3, 4))))
     assert out.shape == (5, 2, 4)
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((4, 3, 4))))
+
+
+def test_matmul_refuses_a_3d_right_operand():
+    with pytest.raises(ShapeError, match=r"\(5, 2, 3\).*\(5, 3, 4\)"):
+        matmul(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((5, 3, 4))))
+
+
+@pytest.mark.parametrize("x_shape,w_shape", [((32, 13, 64), (64, 16)),
+                                             ((32, 1, 64), (64, 16)), ((3, 4), (4, 5))],
+                         ids=["rows-by-13", "rows-by-1", "2d"])
+def test_bias_free_linear_matches_float64_reference(x_shape, w_shape):
+    rng = np.random.default_rng(7)
+    x, w = rand(rng, *x_shape), rand(rng, *w_shape)
+    weights = rand(rng, *x_shape[:-1], w_shape[1])
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with Tape() as tape:
+        out = linear(xt, wt, None)
+        node = tape.nodes[-1]
+        assert node.op == "linear" and len(node.parents) == 2
+        backward(sum_all(mul(out, Tensor(weights))))
+    x64, w64, g64 = x.astype(np.float64), w.astype(np.float64), weights.astype(np.float64)
+    np.testing.assert_allclose(out.data, x64 @ w64, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(xt.grad, g64 @ w64.T, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(
+        wt.grad, x64.reshape(-1, w_shape[0]).T @ g64.reshape(-1, w_shape[1]), rtol=1e-5, atol=1e-4
+    )
+
+
+def test_bias_free_linear_keeps_a_negative_zero_product():
+    # each product underflows; an FMA kernel (OpenBLAS's) rounds the sums to -0.0,
+    # which adding even a zero bias would turn into +0.0
+    x, w = np.full((3, 4), -1e-30, np.float32), np.full((4, 5), 1e-30, np.float32)
+    out = linear(Tensor(x), Tensor(w), None).data
+    assert out.tobytes() == (x @ w).tobytes()
+    assert np.signbit(out).all()
+    assert not np.signbit(linear(Tensor(x), Tensor(w), np.zeros(5, np.float32)).data).any()
 
 
 def heads(x, n_heads, keys=False):
@@ -681,9 +715,6 @@ def test_grad_matmul():
     for s in range(8):
         check_grads(matmul, lambda a, b: a @ b, [rand(rng, 3, 4), rand(rng, 4, 2)], f"mm{s}")
         check_grads(matmul, lambda a, b: a @ b, [rand(rng, 2, 3, 4), rand(rng, 4, 2)], f"mmb{s}")
-        check_grads(
-            matmul, lambda a, b: a @ b, [rand(rng, 2, 3, 4), rand(rng, 2, 4, 2)], f"mmf{s}"
-        )
 
 
 def test_grad_elementwise_ops():

@@ -13,7 +13,7 @@ import pytest
 from dqseq import trainer
 from dqseq.distiller import DistillConfig, LayerMap
 from dqseq.model import ModelConfig, forward, init_model
-from dqseq.quantizer import QuantConfig, linear_quantize, quantize_model
+from dqseq.quantizer import QuantConfig, quantize, quantize_model
 from dqseq.tasks import PAD, TaskSpec, generate_task, seq2seq_batch
 from dqseq.tensor import Tape, Tensor, add, backward, mul, sum_all, straight_through
 from dqseq.trainer import (
@@ -149,7 +149,7 @@ def test_ste_scalar_probe_gradient_is_exact():
     # loss = (alpha*b - c)^2 must deliver d(loss)/dw = 2(alpha*b - c) through
     # the rounding, as if quantization were the identity
     w = Tensor(np.array([0.4], np.float32), requires_grad=True)
-    q = linear_quantize(w.data, 8)
+    q = quantize(w.data, 8)
     with Tape():
         wq = straight_through(w, q.values())
         d = add(wq, -0.1)  # c = 0.1
