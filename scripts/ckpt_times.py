@@ -8,12 +8,15 @@ As ``bench/run.py``'s ckpt-2-2-8 does, it builds a random-init model of
 5.8M parameters (vocab 8192, d_model 256, 2+2 layers) and repeats
 quantize_params -> save_checkpoint -> load_model at 2-2-8 on one temporary
 file. It runs ``--warmup`` rounds, then ``--reps`` plain rounds timing the
-whole save and load, then ``--reps`` rounds with timers installed.
+whole save and load, then ``--reps`` rounds with timers installed. It also
+counts quantize_params' workers: the threads, the caller included, that ran
+``quantize`` in one call (1 on a one-CPU host).
 
 The timers wrap module-level names from outside ``src/``, as
 ``scripts/op_times.py`` does. A save splits into quantize_params, pack
 (``checkpoint.pack_codes``) and write+fsync (the rest of save_checkpoint:
-record bytes, writes, fsync and rename). A load splits into read+parse
+record bytes, writes, fsync and rename). The quantize_params phase is wall
+time across its workers. A load splits into read+parse
 (``checkpoint.load_checkpoint``; the ``unpack_codes`` calls made inside it
 are also shown on their own), dequantize (``QuantizedTensor.values``) and
 build_model (the rest of ``checkpoint.build_model``). Times are medians in ms
@@ -26,6 +29,7 @@ import os
 import statistics
 import sys
 import tempfile
+import threading
 import time
 from collections import defaultdict
 
@@ -78,6 +82,22 @@ class PhaseTimer:
         while self._patches:
             owner, attr, original = self._patches.pop()
             setattr(owner, attr, original)
+
+
+def quantize_workers(master, categories) -> int:
+    """The threads, the caller included, that ran quantize in one quantize_params call."""
+    quantize, seen = quantizer.quantize, set()
+
+    def recording(*args, **kwargs):
+        seen.add(threading.get_ident())
+        return quantize(*args, **kwargs)
+
+    quantizer.quantize = recording
+    try:
+        quantizer.quantize_params(master.params, categories, Q228)
+    finally:
+        quantizer.quantize = quantize
+    return len(seen)
 
 
 def one_round(master, categories, meta, path, timer=None) -> dict[str, float]:
@@ -134,7 +154,11 @@ def main() -> int:
     }
     result["phases_ms_median"] = {name: round(statistics.median(r[name] for r in timed), 3)
                                   for name in timed[0] if name not in ("save", "load")}
-    print(f"{args.reps} rounds at {CKPT.vocab_size}x{CKPT.d_model}, 2-2-8")
+    result["cpus"] = len(os.sched_getaffinity(0))
+    result["quantize_workers"] = quantize_workers(master, categories)
+    print(f"{args.reps} rounds at {CKPT.vocab_size}x{CKPT.d_model}, 2-2-8; "
+          f"quantize_params ran on {result['quantize_workers']} threads "
+          f"({result['cpus']} CPUs)")
     for name in ("save", "load"):
         r = result[name]
         print(f"  {name}: plain p10 {r['plain_ms_p10']} ms, median {r['plain_ms_median']} ms; "

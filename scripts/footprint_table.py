@@ -2,13 +2,17 @@
 """Print the bart-base footprint table: size and ratio per bit-width/depth.
 
 Pure arithmetic over the named architecture; no model is instantiated and
-nothing is trained.
+nothing is trained. Run from a dqseq checkout's root; the package is
+imported from its ``src/``.
 """
 
+import os
 import sys
 
-from dqseq.metrics import bart_base_param_specs, footprint
-from dqseq.quantizer import QuantConfig
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from dqseq.metrics import bart_base_param_specs, footprint  # noqa: E402
+from dqseq.quantizer import QuantConfig  # noqa: E402
 
 ROWS = [
     ((32, 32, 32), 6, 6),

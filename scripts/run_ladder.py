@@ -5,18 +5,21 @@ Produces one checkpoint, one manifest, and one CSV row per configuration:
 the full-precision teacher, 8-8-8 and 2-2-8 students at full depth, a
 2-2-8 student with a single decoder layer, and the untrained direct
 quantization baseline. Roughly five minutes on one CPU with the defaults.
+Run from a dqseq checkout's root; the package is imported from its ``src/``.
 """
 
 import argparse
 import os
 import sys
 
-from dqseq.distiller import DistillConfig
-from dqseq.harness import RunManifest, run_experiment, write_table
-from dqseq.model import ModelConfig
-from dqseq.quantizer import QuantConfig
-from dqseq.tasks import TaskSpec
-from dqseq.trainer import TrainConfig
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from dqseq.distiller import DistillConfig  # noqa: E402
+from dqseq.harness import RunManifest, run_experiment, write_table  # noqa: E402
+from dqseq.model import ModelConfig  # noqa: E402
+from dqseq.quantizer import QuantConfig  # noqa: E402
+from dqseq.tasks import TaskSpec  # noqa: E402
+from dqseq.trainer import TrainConfig  # noqa: E402
 
 
 def main() -> int:

@@ -79,20 +79,22 @@ def _parse_config_block(blob: bytes) -> CheckpointMeta:
         raise CheckpointError(f"config block is missing or malformed: {exc}") from exc
 
 
-def _tensor_record(name: str, value) -> bytes:
+def _write_record(fh, name: str, value) -> None:
+    """Write one tensor record: its header, then its scales and packed codes or its
+    float32 data, each straight from its own buffer."""
     encoded = name.encode("utf-8")
     shape = value.shape
-    head = struct.pack("<Q", len(encoded)) + encoded
-    head += struct.pack("<Q", len(shape)) + b"".join(struct.pack("<Q", d) for d in shape)
+    fh.write(struct.pack(f"<Q{len(encoded)}sQ{len(shape)}Q", len(encoded), encoded,
+                         len(shape), *shape))
     if isinstance(value, QuantizedTensor):
-        body = struct.pack("<BBBQ", TAG_QUANTIZED, value.bits, value.alpha.ndim,
-                           value.n_scales)
-        body += value.alpha.astype("<f4").tobytes()
-        body += pack_codes(value.codes, value.bits)
+        fh.write(struct.pack("<BBBQ", TAG_QUANTIZED, value.bits, value.alpha.ndim,
+                             value.n_scales))
+        fh.write(np.ascontiguousarray(value.alpha, "<f4"))
+        fh.write(pack_codes(value.codes, value.bits))
     else:
-        data = value.data if isinstance(value, Tensor) else np.asarray(value, np.float32)
-        body = struct.pack("<B", TAG_FLOAT32) + data.astype("<f4").tobytes()
-    return head + body
+        data = value.data if isinstance(value, Tensor) else value
+        fh.write(struct.pack("<B", TAG_FLOAT32))
+        fh.write(np.ascontiguousarray(data, "<f4"))
 
 
 def save_checkpoint(path: str, params: dict, meta: CheckpointMeta) -> None:
@@ -107,7 +109,7 @@ def save_checkpoint(path: str, params: dict, meta: CheckpointMeta) -> None:
             fh.write(struct.pack("<Q", len(config)))
             fh.write(config)
             for name in sorted(params):
-                fh.write(_tensor_record(name, params[name]))
+                _write_record(fh, name, params[name])
             fh.flush()
             os.fsync(fh.fileno())
         if os.path.exists(path):

@@ -9,6 +9,8 @@ tensors.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ ALLOWED_WEIGHT_BITS = (2, 4, 8, 32)
 ALLOWED_ACTIVATION_BITS = (8, 32)
 PACKED_BITS = (2, 4, 8)  # code widths the storage layout packs
 _CODE_MIN, _CODE_MAX = np.float32(-127), np.float32(127)  # 8-bit activation codes
+PARALLEL_MIN_SIZE = 1 << 16  # elements: quantize_params quantizes tensors this large on threads
 
 # parameter categories, as reported by model.param_specs
 WEIGHT = "weight"
@@ -270,14 +273,46 @@ def quantize_params(params: dict, categories: dict, qconfig: QuantConfig) -> dic
 
     Returns a dict mapping each name to a QuantizedTensor (covered
     categories below 32 bits) or the original Tensor (passthrough).
+    Tensors of at least PARALLEL_MIN_SIZE elements quantize largest first
+    on one thread per CPU the process may use, the caller and helpers, at
+    most one per such tensor; numpy releases the GIL in their array passes.
+    The caller then quantizes the smaller ones. With one CPU, or no tensor
+    that large, no thread starts, and no helper outlives the call.
     """
-    out = {}
+    jobs, large, small = {}, [], []
     for name, t in params.items():
         if name not in categories:
             raise PolicyError(f"parameter {name!r} not covered by any category")
         bits = qconfig.bits_for(categories[name])
-        out[name] = t if bits == 32 else quantize(t, bits, qconfig.row_wise_for(t.shape))
-    return out
+        if bits < 32:
+            jobs[name] = (t, bits, qconfig.row_wise_for(t.shape))
+            (large if math.prod(t.shape) >= PARALLEL_MIN_SIZE else small).append(name)
+    large.sort(key=lambda name: -math.prod(jobs[name][0].shape))
+    pending = iter(large)  # a list iterator: concurrent next() calls take distinct names
+
+    def drain() -> list:
+        return [(name, quantize(*jobs[name])) for name in pending]
+
+    helpers = min(len(large), _cpus()) - 1 if len(large) > 1 else 0
+    if helpers:
+        # deferred: the import (logging and all) costs about 0.6 MB of peak RSS,
+        # which training and decoding, whose tensors stay small, do not pay
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(helpers) if helpers else nullcontext() as pool:
+        drained = [pool.submit(drain) for _ in range(helpers)]
+        done = dict(drain())
+        done.update((name, quantize(*jobs[name])) for name in small)
+        for future in drained:
+            done.update(future.result())
+    return {name: done.get(name, t) for name, t in params.items()}
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
 
 
 def quantize_model(model, qconfig: QuantConfig):
@@ -332,15 +367,23 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     u = flat.astype(np.int8, copy=False).view(np.uint8)  # masked, the low bits are the field
     if bits == 8:
         return u.tobytes()
-    if len(u) % 4:
-        u = np.concatenate([u, np.zeros(-len(u) % 4, np.uint8)])
-    # 4 codes per little-endian word: mask each byte to its field, then shift-or them down
+    pad = -len(u) % 4
+    if pad:
+        u = np.concatenate([u, np.zeros(pad, np.uint8)])
+    # 4 codes per little-endian word, each byte masked to its field
     w = u.view("<u4") & np.uint32(0x03030303 if bits == 2 else 0x0F0F0F0F)
-    w |= w >> (8 - bits)  # fields 0 and 1 meet in byte 0, fields 2 and 3 in byte 2
-    if bits == 4:
+    if bits == 2:
+        # fields 0-3 land at bits 24, 26, 28 and 30; every partial product below
+        # bit 32 sits at its own even offset, so no two overlap and nothing carries
+        w *= np.uint32(0x01041040)
+        w >>= np.uint32(24)
+        packed = w.astype(np.uint8).tobytes()
+    else:
+        w |= w >> 4  # fields 0 and 1 meet in byte 0, fields 2 and 3 in byte 2
         w &= np.uint32(0x00FF00FF)  # drop the copies left in bytes 1 and 3
-    w |= w >> (16 - 2 * bits)  # byte 2's pair joins byte 0's in the word's low bits
-    return w.astype(np.uint8 if bits == 2 else "<u2").tobytes()[: -(-len(flat) * bits // 8)]
+        w |= w >> 8  # byte 2's pair joins byte 0's in the word's low bits
+        packed = w.astype("<u2").tobytes()
+    return packed[: -(-len(flat) * bits // 8)] if pad else packed
 
 
 def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import re
 import stat
 import struct
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -436,6 +437,76 @@ def test_saved_bytes_are_frozen(tmp_path, qc):
     path = tmp_path / "frozen.ckpt"
     save_checkpoint(str(path), stored, small_meta(quant_config=qc))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_SHA256[qc]
+
+
+# five tensors at or over quantize_params' thread threshold (embed.tok at 131,072
+# elements, the four ffn matrices at 65,536) and the rest under it
+FANOUT = ModelConfig(vocab_size=1024, d_model=128, n_heads=2, d_ff=512,
+                     n_enc_layers=1, n_dec_layers=1, max_positions=16)
+FANOUT_QCS = [QuantConfig(2, 2, 8), QuantConfig(2, 4, 8, row_wise=True)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("qc", FANOUT_QCS, ids=lambda qc: qc.label + "rw" * qc.row_wise)
+def test_quantize_params_fans_large_tensors_out_to_threads(monkeypatch, qc, cpus):
+    params = init_model(FANOUT, seed=17).params
+    cats = categories(FANOUT)
+    large = {name for name, t in params.items()
+             if t.size >= quantizer.PARALLEL_MIN_SIZE and qc.bits_for(cats[name]) < 32}
+    assert len(large) >= 2 and any(t.size < quantizer.PARALLEL_MIN_SIZE for t in params.values())
+    names = {id(t): name for name, t in params.items()}
+    caller, ran_on = threading.current_thread(), {}
+    helper_ran = threading.Event()
+    quantize = quantizer.quantize
+
+    def recording(w, bits, row_wise=False):
+        ran_on[names[id(w)]] = threading.current_thread()
+        if threading.current_thread() is not caller:
+            helper_ran.set()
+        elif cpus > 1 and names[id(w)] in large:
+            helper_ran.wait(10)  # a helper takes a tensor before the caller takes them all
+        return quantize(w, bits, row_wise)
+
+    monkeypatch.setattr(quantizer, "quantize", recording)
+    monkeypatch.setattr(quantizer, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    stored = quantize_params(params, cats, qc)
+    assert threading.active_count() == threads  # every helper has ended
+
+    assert set(ran_on) == {name for name in params if qc.bits_for(cats[name]) < 32}
+    helpers = {th for th in ran_on.values() if th is not caller}
+    assert len(helpers) == cpus - 1
+    assert all(ran_on[name] is caller for name in ran_on if name not in large)
+    assert list(stored) == list(params)
+    for name, t in params.items():
+        bits = qc.bits_for(cats[name])
+        if bits == 32:
+            assert stored[name] is t
+            continue
+        want = quantize(t, bits, qc.row_wise_for(t.shape))
+        got = stored[name]
+        assert got.bits == bits
+        assert np.array_equal(got.codes, want.codes), name
+        assert np.array_equal(np.atleast_1d(got.alpha).view(np.uint32),
+                              np.atleast_1d(want.alpha).view(np.uint32)), name
+
+
+# sha256 of the file save_checkpoint writes for quantize_params(init_model(FANOUT, 17)),
+# recorded before quantize_params used threads
+FANOUT_SHA256 = {
+    QuantConfig(2, 2, 8): "bd74c73e947d36cb72bd99e338e0a8541b3d9eefe9a21f8a2f9b085eff9a2d0c",
+    QuantConfig(2, 4, 8, row_wise=True):
+        "3a302cd4675edc608cabe4b301f81ca9cb54256260187929266ccb175a74a34b",
+}
+
+
+@pytest.mark.parametrize("qc", FANOUT_QCS, ids=lambda qc: qc.label + "rw" * qc.row_wise)
+def test_saved_bytes_of_a_fanned_out_set_are_frozen(tmp_path, monkeypatch, qc):
+    monkeypatch.setattr(quantizer, "_cpus", lambda: 2)
+    stored = quantize_params(init_model(FANOUT, seed=17).params, categories(FANOUT), qc)
+    path = tmp_path / "fanout.ckpt"
+    save_checkpoint(str(path), stored, small_meta(model_config=FANOUT, quant_config=qc))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FANOUT_SHA256[qc]
 
 
 def test_build_model_rejects_wrong_shapes():
