@@ -3,57 +3,45 @@
 
     python3 scripts/decode_times.py [--seed 0] [--batches 200]
 
-Run from a dqseq checkout's root; the package is imported from its ``src/``
-and the workload's set-up from its ``bench/``. As ``bench/run.py``'s
-decode-2-2-8 does, it trains the ladder-shape teacher, takes its 2-2-8 view
-and greedy-decodes the dev and test sources in 32-row batches with the
-15-token cap. After one warm pass it decodes ``--batches`` batches plainly
-(wall time per batch), then one pass counting the rows that each
-``decode_step`` call receives, then ``--batches`` batches with timers.
+Run from a dqseq checkout's root; ``scripts/probe.py`` finds the package and
+the benchmark's workloads. As ``bench/run.py``'s decode-2-2-8 does, it
+trains the ladder-shape teacher, takes its 2-2-8 view and greedy-decodes the
+dev and test sources in 32-row batches with the 15-token cap. After one warm
+pass it decodes ``--batches`` batches plainly (wall time per batch), then one
+pass counting the rows that each ``decode_step`` call receives, then
+``--batches`` batches with timers.
 
-The timers wrap module-level names from outside ``src/``, as
-``scripts/op_times.py`` does: every tensor op as ``model`` resolves it,
-``model.quantize_activation``, and the phases ``encode``, ``decode_step``
-and, where they exist, ``DecodeState.keep`` and ``_KVCache.append``. An
-op's calls are timed apart by the phase that makes them: ``encode`` runs
-whole sources, ``decode_step`` one position a row. An op's self time
-leaves out the wrapped calls made inside it. Times are ms per batch and
-calls are per batch; us/call (``us_per_call``) is the inclusive time of
-one call, which shows an op's fixed per-call cost. The JSON's ``forward``
-table merges the phases and ``forward_by_phase`` holds one table per
-phase. The last line of stdout is one JSON object.
+The timers wrap, through the probe: every tensor op as ``model`` resolves
+it, ``model.quantize_activation``, and the phases ``encode``,
+``decode_step``, ``DecodeState.keep`` and ``_KVCache.append``. An op's calls
+are timed apart by the phase that makes them: ``encode`` runs whole sources,
+``decode_step`` one position a row. An op's self time leaves out the
+wrapped calls made inside it. Times are ms per batch and calls are per
+batch; us/call (``us_per_call``) is the inclusive time of one call, which
+shows an op's fixed per-call cost. The JSON's ``forward`` table merges the
+phases and ``forward_by_phase`` holds one table per phase. The last line of
+stdout is one JSON object; its ``missing`` lists the names the probe did not
+find.
 """
 
 import argparse
-import inspect
 import json
-import os
 import statistics
 import sys
-import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # one BLAS thread, as the benchmark runs
+from probe import Probe, now
 
-_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "bench"),
-                os.path.dirname(os.path.abspath(__file__))]
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-import workloads  # noqa: E402
-from dqseq import model, quantizer, tensor  # noqa: E402
-from dqseq.tasks import BOS, EOS, PAD, generate_task  # noqa: E402
-from op_times import NOT_OPS, OpTimer  # noqa: E402
-
-_now = time.perf_counter_ns
-
+import workloads
+from dqseq import model, quantizer
+from dqseq.tasks import BOS, EOS, PAD, generate_task
 
 PHASES = ("encode", "decode_step")
 
 
-class DecodeTimer(OpTimer):
-    """OpTimer over the names greedy decoding calls; each op's calls go to
+class DecodeProbe(Probe):
+    """A probe over the names greedy decoding calls; each op's calls go to
     the table "forward <phase>" of the phase that makes them."""
 
     def __init__(self):
@@ -85,37 +73,25 @@ class DecodeTimer(OpTimer):
         return self.table("forward", steps)
 
     def install(self) -> None:
-        ops = {fn: name for name, fn in vars(tensor).items()
-               if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
-               and not name.startswith("_") and name not in NOT_OPS}
-        for attr, fn in list(vars(model).items()):
-            if inspect.isfunction(fn) and fn in ops:
-                self._patch(model, attr, self.by_phase(ops[fn], fn))
-        self._patch(model, "quantize_activation",
-                    self.by_phase("quantize_activation", model.quantize_activation))
+        self.patch_ops((model,), self.by_phase)
+        self.patch(model, "quantize_activation",
+                   lambda fn: self.by_phase("quantize_activation", fn))
         for phase in PHASES:
-            self._patch(model, phase, self.entering(phase, getattr(model, phase)))
-        for owner, attr in ((model.DecodeState, "keep"), (model._KVCache, "append")):
-            if hasattr(owner, attr):  # a checkout older than row dropping has no keep
-                name = f"{owner.__name__}.{attr}"
-                self._patch(owner, attr, self.timed("phase", name, getattr(owner, attr)))
+            self.patch(model, phase, lambda fn, phase=phase: self.entering(phase, fn))
+        self.time(model.DecodeState, "keep", "phase", "DecodeState.keep")
+        self.time(model._KVCache, "append", "phase", "_KVCache.append")
 
 
-def rows_per_step(view, chunks, cap: int) -> list[list[int]]:
+def rows_per_step(view, chunks, cap: int, missing: list) -> list[list[int]]:
     """For each batch, the rows that each of its decode_step calls received."""
-    step, seen = model.decode_step, []
-
-    def counting(m, state, ids, *args, **kwargs):
-        seen[-1].append(int(np.asarray(ids).size))
-        return step(m, state, ids, *args, **kwargs)
-
-    model.decode_step = counting
-    try:
+    seen = []
+    with Probe() as probe:
+        probe.before(model, "decode_step", lambda m, state, ids, *args, **kwargs:
+                     seen[-1].append(int(np.asarray(ids).size)))
         for chunk in chunks:
             seen.append([])
             model.greedy_decode_batch(view, chunk, BOS, EOS, cap, PAD, a_bits=8)
-    finally:
-        model.decode_step = step
+    missing += probe.missing
     return seen
 
 
@@ -139,18 +115,16 @@ def main() -> int:
     first = [decode(i) for i in range(len(chunks))]
     ms = []
     for i in range(args.batches):
-        t0 = _now()
+        t0 = now()
         decode(i)
-        ms.append((_now() - t0) / 1e6)
-    rows = rows_per_step(view, chunks, cap)
-    timer = DecodeTimer()
-    timer.install()
-    try:
+        ms.append((now() - t0) / 1e6)
+    missing = []
+    rows = rows_per_step(view, chunks, cap, missing)
+    with DecodeProbe() as probe:
+        probe.install()
         for i in range(args.batches):
             if decode(i) != first[i % len(chunks)]:
                 raise SystemExit("a timed batch decoded other tokens than the warm pass")
-    finally:
-        timer.uninstall()
     width = sum(len(c) * len(r) for c, r in zip(chunks, rows))
     result = {
         "batches": args.batches,
@@ -159,10 +133,11 @@ def main() -> int:
         "rows_per_step": rows,
         "row_steps": sum(map(sum, rows)),
         "row_steps_if_every_row_ran": width,
-        "phase": timer.table("phase", args.batches),
-        "forward_by_phase": {phase: timer.table(f"forward {phase}", args.batches)
+        "phase": probe.table("phase", args.batches),
+        "forward_by_phase": {phase: probe.table(f"forward {phase}", args.batches)
                              for phase in PHASES},
-        "forward": timer.merged(args.batches),
+        "forward": probe.merged(args.batches),
+        "missing": sorted(missing + probe.missing),
     }
     tables = {"phase": result["phase"], **result["forward_by_phase"], "forward": result["forward"]}
     for table in tables.values():

@@ -3,170 +3,100 @@
 
     python3 scripts/op_times.py [--seed 0] [--warmup 5] [--steps 40]
 
-Run from a dqseq checkout's root; the package is imported from its ``src/``.
-As ``bench/run.py``'s ladder-train does, it pretrains a teacher at the
-acceptance ladder's shape with task-only steps, then trains a same-depth
-2-2-8 student against it, 32 copy rows a step. For each kind of step it
-runs ``--warmup`` steps, then ``--steps`` plain steps, reading each one's
-wall time, minor page faults and system time (getrusage), then ``--steps``
-steps with timers installed.
+Run from a dqseq checkout's root; ``scripts/probe.py`` finds the package and
+the benchmark's workloads. As ``bench/run.py``'s ladder-train does, with its
+shapes, learning rates and batch stream (``bench/workloads.py``), it
+pretrains a teacher at the acceptance ladder's shape with task-only steps,
+then trains a same-depth 2-2-8 student against it, 32 copy rows a step. For
+each kind of step it runs ``--warmup`` steps, then ``--steps`` plain steps,
+reading each one's wall time, minor page faults and system time (getrusage),
+then ``--steps`` steps with timers installed.
 
-The timers wrap module-level names from outside ``src/``, as
-``bench/tracing.py`` does: every tensor op as ``model``, ``distiller`` and
-``quantizer`` resolve it, ``model.quantize_activation``, the trainer's
-phases (``quantize_model``, the student's and the teacher's ``forward``,
-``total_loss``, ``backward``, ``global_grad_norm``, ``Adam.update``) and
-``tensor._record``, whose wrapper times each node's backward closure under
-its op's name. An op's self time leaves out the wrapped calls made inside
-it (``straight_through`` inside ``quantize_activation``). Times are ms per
-step and calls are per step. The last line of stdout is one JSON object.
+The timers wrap, through the probe: every tensor op as ``model``,
+``distiller`` and ``quantizer`` resolve it, ``model.quantize_activation``,
+the trainer's phases (``quantize_model``, the student's and the teacher's
+``forward``, ``total_loss``, ``backward``, ``global_grad_norm``,
+``Adam.update``) and ``tensor._record``, whose wrapper times each node's
+backward closure under its op's name. An op's self time leaves out the
+wrapped calls made inside it (``straight_through`` inside
+``quantize_activation``). Times are ms per step and calls are per step. The
+last line of stdout is one JSON object; its ``missing`` lists the names the
+probe did not find.
 """
 
 import argparse
-import inspect
+import itertools
 import json
-import os
 import resource
 import statistics
 import sys
-import time
-from collections import defaultdict
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # one BLAS thread, as the benchmark runs
+from probe import Probe, now
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from dqseq import distiller, model, quantizer, tensor, trainer  # noqa: E402
-from dqseq.distiller import DistillConfig, init_student  # noqa: E402
-from dqseq.model import ModelConfig, init_model  # noqa: E402
-from dqseq.quantizer import QuantConfig  # noqa: E402
-from dqseq.tasks import TaskSpec, generate_task, seq2seq_batch  # noqa: E402
-
-LADDER = ModelConfig(16, 64, 4, 256, 2, 2, 16)
-BATCH = 32
-HORIZON = 1000  # lr-schedule length, as the benchmark's
-TEACHER_LR, DQ_LR = 3e-3, 1e-3
-NOT_OPS = {"active_tape", "backward", "no_grad", "set_nan_checks"}
-
-_now = time.perf_counter_ns
+import workloads
+from dqseq import distiller, model, quantizer, tensor, trainer
+from dqseq.distiller import DistillConfig, init_student
+from dqseq.model import init_model
+from dqseq.tasks import generate_task
 
 
-class OpTimer:
-    """Inclusive and self ns and calls per (table, name), over wrapped calls."""
+def stepper(student, teacher, lmap, batches, rng, size):
+    """One kind of training step, as the benchmark's ladder-train takes it."""
+    optimizer, step_no = trainer.Adam(student.params), itertools.count()
 
-    def __init__(self):
-        self.rows = defaultdict(lambda: [0, 0, 0])  # (table, name) -> [incl ns, self ns, calls]
-        self._child_ns: list[int] = []
-        self._patches: list[tuple[object, str, object]] = []
+    def step() -> None:
+        batch, i = batches.next(), next(step_no)
+        if teacher is None:
+            workloads._teacher_step(student, batch, optimizer, i, size.horizon, size, rng)
+        else:
+            lr = trainer.lr_schedule(i, size.horizon, size.dq_lr, workloads.WARMUP_FRACTION)
+            trainer.distillation_aware_step(student, teacher, batch, workloads.Q228, lmap,
+                                            optimizer, lr, rng=rng)
 
-    def timed(self, table: str, name: str, fn):
-        row = self.rows[(table, name)]
-        stack = self._child_ns
-
-        def wrapper(*args, **kwargs):
-            stack.append(0)
-            t0 = _now()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                ns = _now() - t0
-                inner = stack.pop()
-                row[0] += ns
-                row[1] += ns - inner
-                row[2] += 1
-                if stack:
-                    stack[-1] += ns
-
-        return wrapper
-
-    def _patch(self, owner, attr: str, replacement) -> None:
-        self._patches.append((owner, attr, getattr(owner, attr)))
-        setattr(owner, attr, replacement)
-
-    def install(self, teacher) -> None:
-        ops = {fn: name for name, fn in vars(tensor).items()
-               if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
-               and not name.startswith("_") and name not in NOT_OPS}
-        for mod in (model, distiller, quantizer):
-            for attr, fn in list(vars(mod).items()):
-                if inspect.isfunction(fn) and fn in ops:
-                    self._patch(mod, attr, self.timed("forward", ops[fn], fn))
-        self._patch(model, "quantize_activation",
-                    self.timed("forward", "quantize_activation", model.quantize_activation))
-
-        record = tensor._record
-        timed_bwd = {}
-
-        def _record(op, out_data, inputs, backward):
-            if op not in timed_bwd:
-                timed_bwd[op] = lambda fn, op=op: self.timed("backward", op, fn)
-            return record(op, out_data, inputs, timed_bwd[op](backward))
-
-        self._patch(tensor, "_record", _record)
-
-        for attr in ("quantize_model", "total_loss", "backward", "global_grad_norm"):
-            self._patch(trainer, attr, self.timed("phase", attr, getattr(trainer, attr)))
-        self._patch(trainer.Adam, "update", self.timed("phase", "Adam.update", trainer.Adam.update))
-        student_fwd = self.timed("phase", "forward (student)", trainer.forward)
-        teacher_fwd = self.timed("phase", "forward (teacher, no_grad)", trainer.forward)
-        self._patch(trainer, "forward", lambda m, *a, **k: (
-            teacher_fwd if m is teacher else student_fwd)(m, *a, **k))
-
-    def uninstall(self) -> None:
-        while self._patches:
-            owner, attr, original = self._patches.pop()
-            setattr(owner, attr, original)
-
-    def table(self, name: str, steps: int) -> dict[str, dict[str, float]]:
-        return {op: {"ms": round(incl / 1e6 / steps, 4), "self_ms": round(own / 1e6 / steps, 4),
-                     "calls": calls / steps}
-                for (tab, op), (incl, own, calls) in sorted(self.rows.items())
-                if tab == name and calls}
+    return step
 
 
-class Stepper:
-    """One kind of training step on the benchmark's batch stream."""
+def install(probe: Probe, teacher) -> None:
+    probe.patch_ops((model, distiller, quantizer),
+                    lambda op, fn: probe.timed("forward", op, fn))
+    probe.time(model, "quantize_activation", "forward")
 
-    def __init__(self, student, teacher, lmap, qconfig, lr, pairs, rng):
-        self.args = student, teacher, lmap, qconfig
-        self.optimizer = trainer.Adam(student.params)
-        self.lr, self.pairs, self.rng = lr, pairs, rng
-        self.order, self.pos, self.step_no = [], 0, 0
+    def timed_backward(record):  # each node's backward closure, timed under its op's name
+        return lambda op, out_data, inputs, backward: record(
+            op, out_data, inputs, probe.timed("backward", op, backward))
 
-    def __call__(self) -> None:
-        if self.pos >= len(self.order):
-            self.order, self.pos = self.rng.permutation(len(self.pairs)), 0
-        batch = seq2seq_batch([self.pairs[i] for i in self.order[self.pos : self.pos + BATCH]])
-        self.pos += BATCH
-        student, teacher, lmap, qconfig = self.args
-        lr = trainer.lr_schedule(self.step_no, HORIZON, self.lr, 0.05)
-        trainer.distillation_aware_step(student, teacher, batch, qconfig, lmap, self.optimizer,
-                                        lr, task_only=teacher is None, rng=self.rng)
-        self.step_no += 1
+    probe.patch(tensor, "_record", timed_backward)
+    for attr in ("quantize_model", "total_loss", "backward", "global_grad_norm"):
+        probe.time(trainer, attr, "phase")
+    probe.time(trainer.Adam, "update", "phase", "Adam.update")
+
+    def split_forward(forward):
+        student_fwd = probe.timed("phase", "forward (student)", forward)
+        teacher_fwd = probe.timed("phase", "forward (teacher, no_grad)", forward)
+        return lambda m, *a, **k: (teacher_fwd if m is teacher else student_fwd)(m, *a, **k)
+
+    probe.patch(trainer, "forward", split_forward)
 
 
-def measure(step, teacher, warmup: int, steps: int) -> dict:
+def measure(step, teacher, warmup: int, steps: int, missing: set) -> dict:
     for _ in range(warmup):
         step()
     ms, faults, sys_ms = [], [], []
     for _ in range(steps):
-        r0, t0 = resource.getrusage(resource.RUSAGE_SELF), _now()
+        r0, t0 = resource.getrusage(resource.RUSAGE_SELF), now()
         step()
-        t1, r1 = _now(), resource.getrusage(resource.RUSAGE_SELF)
+        t1, r1 = now(), resource.getrusage(resource.RUSAGE_SELF)
         ms.append((t1 - t0) / 1e6)
         faults.append(r1.ru_minflt - r0.ru_minflt)
         sys_ms.append((r1.ru_stime - r0.ru_stime) * 1e3)
-    timer = OpTimer()
-    timer.install(teacher)
-    t0 = _now()
-    try:
+    with Probe() as probe:
+        install(probe, teacher)
+        t0 = now()
         for _ in range(steps):
             step()
-    finally:
-        timer.uninstall()
+    missing.update(probe.missing)
     return {
         "plain": {
             "step_ms_p10": round(float(np.percentile(ms, 10)), 3),
@@ -175,10 +105,10 @@ def measure(step, teacher, warmup: int, steps: int) -> dict:
             "minor_faults_mean": round(statistics.fmean(faults), 1),
             "system_ms_mean": round(statistics.fmean(sys_ms), 3),
         },
-        "timed_step_ms_mean": round((_now() - t0) / 1e6 / steps, 3),
-        "phase": timer.table("phase", steps),
-        "forward": timer.table("forward", steps),
-        "backward": timer.table("backward", steps),
+        "timed_step_ms_mean": round((now() - t0) / 1e6 / steps, 3),
+        "phase": probe.table("phase", steps),
+        "forward": probe.table("forward", steps),
+        "backward": probe.table("backward", steps),
     }
 
 
@@ -206,21 +136,23 @@ def main() -> int:
     ap.add_argument("--warmup", type=int, default=5)
     ap.add_argument("--steps", type=int, default=40)
     args = ap.parse_args()
-    splits = generate_task(TaskSpec("copy", vocab_size=16, max_len=12, train_size=512,
-                                    dev_size=64, test_size=64, seed=args.seed))
+    size = workloads.SIZES["full"]
+    splits = generate_task(workloads._task(args.seed, size))
     rng = np.random.default_rng(args.seed)
-    teacher = init_model(LADDER, args.seed)
-    teacher_step = Stepper(teacher, None, None, QuantConfig(), TEACHER_LR,
-                           splits.train.pairs, rng)
-    result = {"teacher": measure(teacher_step, None, args.warmup, args.steps)}
-    for t in teacher.params.values():
-        t.requires_grad = False
-    student, lmap = init_student(teacher, DistillConfig(2, 2))
-    dq_step = Stepper(student, teacher, lmap, QuantConfig(2, 2, 8), DQ_LR,
-                      splits.train.pairs, rng)
-    result["dq 2-2-8"] = measure(dq_step, teacher, args.warmup, args.steps)
+    missing = set()
+    teacher = init_model(size.ladder, args.seed)
+    teacher_step = stepper(teacher, None, None, workloads.Batches(splits.train, size.batch, rng),
+                           rng, size)
+    result = {"teacher": measure(teacher_step, None, args.warmup, args.steps, missing)}
+    workloads._freeze(teacher)
+    cfg = size.ladder
+    student, lmap = init_student(teacher, DistillConfig(cfg.n_enc_layers, cfg.n_dec_layers))
+    dq_step = stepper(student, teacher, lmap, workloads.Batches(splits.train, size.batch, rng),
+                      rng, size)
+    result["dq 2-2-8"] = measure(dq_step, teacher, args.warmup, args.steps, missing)
     for kind, res in result.items():
         _print(kind, res, args.steps)
+    result["missing"] = sorted(missing)
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -13,8 +13,8 @@ quantize_params set: the teacher's float32 master, each student's packed
 codes and scales. It also hashes the float32 weights that load_model builds
 back from that file ("load"). Two checkouts whose arithmetic, quantizer and
 codec agree bit for bit print the same hashes; run it in each, from the
-checkout's root (the package is imported from its ``src/``), and diff the
-output. The last line of stdout is one JSON object.
+checkout's root (``scripts/probe.py`` finds the package in its ``src/``),
+and diff the output. The last line of stdout is one JSON object.
 """
 
 import hashlib
@@ -23,19 +23,16 @@ import os
 import sys
 import tempfile
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # one BLAS thread, as the benchmark runs
+import probe  # noqa: F401  one BLAS thread, and the checkout's src/ on sys.path
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from dqseq import trainer  # noqa: E402
-from dqseq.checkpoint import load_model, save_checkpoint  # noqa: E402
-from dqseq.distiller import DistillConfig, init_student  # noqa: E402
-from dqseq.model import ModelConfig, greedy_decode_batch, init_model, param_specs  # noqa: E402
-from dqseq.quantizer import QuantConfig, quantize_model, quantize_params  # noqa: E402
-from dqseq.tasks import BOS, EOS, PAD, TaskSpec, generate_task, seq2seq_batch  # noqa: E402
+from dqseq import trainer
+from dqseq.checkpoint import load_model, save_checkpoint
+from dqseq.distiller import DistillConfig, init_student
+from dqseq.model import ModelConfig, greedy_decode_batch, init_model, param_specs
+from dqseq.quantizer import QuantConfig, quantize_model, quantize_params
+from dqseq.tasks import BOS, EOS, PAD, TaskSpec, generate_task, seq2seq_batch
 
 SEED = 0
 TEACHER_STEPS = 30

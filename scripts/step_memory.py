@@ -3,10 +3,12 @@
 
     python3 scripts/step_memory.py [--seed 0] [--warmup 2]
 
-Run from a dqseq checkout's root; the package is imported from its ``src/``.
-It builds a random-init model at the acceptance ladder's shape and 32 copy
-rows, then measures two kinds of step: a task-only teacher step, and a 2-2-8
-distillation-aware step of the model's 2+2 student against it (frozen).
+Run from a dqseq checkout's root; ``scripts/probe.py`` finds the package and
+the benchmark's workloads. It builds a random-init model at the acceptance
+ladder's shape and takes the first 32-row batch of ``bench/run.py``'s
+ladder-train stream, with its learning rates (``bench/workloads.py``), then
+measures two kinds of step on that batch: a task-only teacher step, and a
+2-2-8 distillation-aware step of the model's 2+2 student against it (frozen).
 Each kind runs ``--warmup`` steps, one more under tracemalloc to fix its
 resting heap, then the measured one. The script reports the measured step's
 heap peak above that resting heap, the heap's net growth when backward is
@@ -16,8 +18,8 @@ innermost public function of ``tensor.py`` or ``quantizer.py`` on the
 allocation's stack, else the innermost dqseq function. Only allocation
 sites that grew since the resting heap count, so the previous step's
 gradients, which the step frees first, are left out. It wraps
-``trainer.backward`` from outside ``src/``, as ``scripts/op_times.py``
-does. The last line of stdout is one JSON object.
+``trainer.backward`` through the probe. The last line of stdout is one JSON
+object; its ``missing`` lists the names the probe did not find.
 """
 
 import argparse
@@ -28,19 +30,17 @@ import sys
 import tracemalloc
 from collections import defaultdict
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # one BLAS thread, as the benchmark runs
+from probe import SRC, Probe
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-sys.path.insert(0, SRC)
+import numpy as np
 
-from dqseq import trainer  # noqa: E402
-from dqseq.distiller import DistillConfig, init_student  # noqa: E402
-from dqseq.model import ModelConfig, init_model  # noqa: E402
-from dqseq.quantizer import QuantConfig  # noqa: E402
-from dqseq.tasks import TaskSpec, generate_task, seq2seq_batch  # noqa: E402
+import workloads
+from dqseq import trainer
+from dqseq.distiller import DistillConfig, init_student
+from dqseq.model import init_model
+from dqseq.quantizer import QuantConfig
+from dqseq.tasks import generate_task
 
-LADDER = ModelConfig(16, 64, 4, 256, 2, 2, 16)
 FRAMES = 32
 OP_MODULES = ("tensor.py", "quantizer.py")
 
@@ -85,16 +85,14 @@ def op_of(traceback) -> str:
     return fallback or "outside dqseq"
 
 
-def measure(step, warmup: int) -> dict:
+def measure(step, warmup: int, missing: set) -> dict:
     for _ in range(warmup):
         step()
     seen = {}
-    real_backward = trainer.backward
 
-    def backward(loss):
+    def at_backward(loss):
         seen["current"] = tracemalloc.get_traced_memory()[0]
         seen["snapshot"] = tracemalloc.take_snapshot()
-        return real_backward(loss)
 
     tracemalloc.start(FRAMES)
     try:
@@ -102,21 +100,20 @@ def measure(step, warmup: int) -> dict:
         rest = tracemalloc.get_traced_memory()[0]
         base = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
-        trainer.backward = backward
-        try:
+        with Probe() as probe:
+            probe.before(trainer, "backward", at_backward)
             step()
-        finally:
-            trainer.backward = real_backward
         peak = tracemalloc.get_traced_memory()[1] - rest
     finally:
         tracemalloc.stop()
+    missing.update(probe.missing)
     by_op = defaultdict(int)
-    for diff in seen["snapshot"].compare_to(base, "traceback"):
+    for diff in seen["snapshot"].compare_to(base, "traceback") if seen else ():
         if diff.size_diff > 0:
             by_op[op_of(diff.traceback)] += diff.size_diff
     return {
         "heap_peak_bytes": peak,
-        "growth_before_backward_bytes": seen["current"] - rest,
+        "growth_before_backward_bytes": seen.get("current", rest) - rest,
         "held_before_backward_bytes": sum(by_op.values()),
         "held_by_op_bytes": dict(sorted(by_op.items(), key=lambda kv: -kv[1])),
     }
@@ -127,32 +124,35 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--warmup", type=int, default=2)
     args = ap.parse_args()
-    splits = generate_task(TaskSpec("copy", vocab_size=16, max_len=12, train_size=32,
-                                    dev_size=4, test_size=4, seed=args.seed))
-    batch = seq2seq_batch(splits.train.pairs)
+    size = workloads.SIZES["full"]
+    splits = generate_task(workloads._task(args.seed, size))
+    batch = workloads.Batches(splits.train, size.batch, np.random.default_rng(args.seed)).next()
+    missing = set()
 
-    teacher = init_model(LADDER, args.seed)
+    teacher = init_model(size.ladder, args.seed)
     teacher_opt = trainer.Adam(teacher.params)
     result = {"teacher": measure(lambda: trainer.distillation_aware_step(
-        teacher, None, batch, QuantConfig(), None, teacher_opt, 1e-3, task_only=True),
-        args.warmup)}
+        teacher, None, batch, QuantConfig(), None, teacher_opt, size.teacher_lr,
+        task_only=True), args.warmup, missing)}
 
-    frozen = init_model(LADDER, args.seed)
-    for t in frozen.params.values():
-        t.requires_grad = False
-    student, lmap = init_student(frozen, DistillConfig(2, 2))
+    frozen = init_model(size.ladder, args.seed)
+    workloads._freeze(frozen)
+    cfg = size.ladder
+    student, lmap = init_student(frozen, DistillConfig(cfg.n_enc_layers, cfg.n_dec_layers))
     student_opt = trainer.Adam(student.params)
     result["dq 2-2-8"] = measure(lambda: trainer.distillation_aware_step(
-        student, frozen, batch, QuantConfig(2, 2, 8), lmap, student_opt, 1e-3), args.warmup)
+        student, frozen, batch, workloads.Q228, lmap, student_opt, size.dq_lr), args.warmup,
+        missing)
 
     for kind, res in result.items():
         print(f"\n{kind}: heap peak {res['heap_peak_bytes'] / 1e6:.3f} MB; at backward, "
               f"{res['held_before_backward_bytes'] / 1e6:.3f} MB held by the step, heap "
               f"{res['growth_before_backward_bytes'] / 1e6:.3f} MB above rest")
         print(f"  {'op':<34}{'MB held':>9}")
-        for op, size in res["held_by_op_bytes"].items():
-            if size >= 1000:
-                print(f"  {op:<34}{size / 1e6:>9.3f}")
+        for op, nbytes in res["held_by_op_bytes"].items():
+            if nbytes >= 1000:
+                print(f"  {op:<34}{nbytes / 1e6:>9.3f}")
+    result["missing"] = sorted(missing)
     print(json.dumps(result, sort_keys=True))
     return 0
 

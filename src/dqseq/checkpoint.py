@@ -204,6 +204,8 @@ def _read_payload(r: _Reader, name: str, shape: tuple[int, ...]):
         )
     payload = r.take(packed_size(count, bits, n_scales))
     alpha = np.frombuffer(payload, dtype="<f4", count=n_scales)
+    if not np.isfinite(alpha).all():
+        raise CheckpointError(f"tensor {name!r} has a non-finite scale")
     alpha = alpha[0] if alpha_rank == 0 else alpha.copy()
     # a copy of the codes' bytes, so that the file's buffer is freed once loading returns
     return QuantizedTensor.from_packed(alpha, bytes(payload[4 * n_scales :]), bits, shape)

@@ -79,18 +79,23 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise HarnessError(f"manifest is not a JSON object: {text[:40]!r}")
         opt = lambda kind, key: None if raw[key] is None else kind(**raw[key])
-        manifest = cls(
-            task=TaskSpec(**raw["task"]),
-            train_config=TrainConfig(**raw["train_config"]),
-            model_config=opt(ModelConfig, "model_config"),
-            quant_config=opt(QuantConfig, "quant_config"),
-            distill_config=opt(DistillConfig, "distill_config"),
-            teacher_path=raw["teacher_path"],
-            out_path=raw["out_path"],
-            result=raw.get("result", {}),
-            wall_clock=raw.get("wall_clock", 0.0),
-        )
+        try:
+            manifest = cls(
+                task=TaskSpec(**raw["task"]),
+                train_config=TrainConfig(**raw["train_config"]),
+                model_config=opt(ModelConfig, "model_config"),
+                quant_config=opt(QuantConfig, "quant_config"),
+                distill_config=opt(DistillConfig, "distill_config"),
+                teacher_path=raw["teacher_path"],
+                out_path=raw["out_path"],
+                result=raw.get("result", {}),
+                wall_clock=raw.get("wall_clock", 0.0),
+            )
+        except (KeyError, TypeError) as exc:
+            raise HarnessError(f"manifest is missing or malformed: {exc!r}") from exc
         stored = raw.get("content_hash")
         if stored is not None and stored != manifest.content_hash():
             raise HarnessError("manifest content hash does not match its inputs")

@@ -339,6 +339,22 @@ def test_malformed_record_is_rejected(tmp_path, shape, body, match):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_non_finite_scale_is_rejected(tmp_path, scale):
+    qc = QuantConfig(2, 2, 8)
+    stored = quantize_params(init_model(SMALL, seed=5).params, categories(SMALL), qc)
+    name = "enc.0.ffn.w1"
+    save_checkpoint(str(tmp_path / "q.ckpt"), stored, small_meta(quant_config=qc))
+    blob = bytearray(open(tmp_path / "q.ckpt", "rb").read())
+    # the record: name length, name, rank, dims, then tag, bits, alpha rank, scale count, scales
+    at = blob.index(struct.pack("<Q", len(name)) + name.encode()) + 8 + len(name)
+    at += 8 + 8 * len(stored[name].shape) + struct.calcsize("<BBBQ")
+    assert blob[at : at + 4] == np.asarray(stored[name].alpha, "<f4").tobytes()
+    blob[at : at + 4] = np.asarray(scale, "<f4").tobytes()
+    with pytest.raises(CheckpointError, match=f"{name!r} has a non-finite scale"):
+        load_checkpoint(write(tmp_path / "bad.ckpt", bytes(blob)))
+
+
 def test_non_utf8_name_is_rejected(tmp_path):
     body = struct.pack("<B", TAG_FLOAT32) + np.zeros(1, "<f4").tobytes()
     path = write(tmp_path / "name.ckpt", header(tmp_path) + record(b"\xff\xfe", (1,), body))

@@ -1,5 +1,6 @@
 """Manifest round-trips, experiment orchestration, and table output."""
 
+import json
 import os
 import struct
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from dqseq.checkpoint import load_checkpoint, load_model, save_checkpoint
+from dqseq.cli import main
 from dqseq.distiller import DistillConfig
 from dqseq.harness import TABLE_COLUMNS, HarnessError, RunManifest, run_experiment, write_table
 from dqseq.metrics import footprint
@@ -93,6 +95,26 @@ def test_tampered_hash_is_rejected():
     text = m.to_json().replace('"epochs": 2', '"epochs": 9')
     with pytest.raises(HarnessError, match="hash"):
         RunManifest.from_json(text)
+
+
+def _with_unknown_task_field(text: str) -> str:
+    raw = json.loads(text)
+    raw["task"]["bogus"] = 1
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: '{"task": {"kind": "copy"}}',
+    _with_unknown_task_field,
+    lambda text: "[1, 2]",
+], ids=["missing-keys", "unknown-task-field", "not-an-object"])
+def test_malformed_manifest_is_a_clean_error(tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(edit(teacher_manifest("t.ckpt").to_json()))
+    with pytest.raises(HarnessError, match="manifest"):
+        RunManifest.load(str(path))
+    assert main(["table", str(path), "--out", str(tmp_path / "table.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: manifest")
 
 
 def test_missing_teacher_fails_before_training(tmp_path):

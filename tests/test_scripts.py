@@ -1,10 +1,16 @@
-"""The scripts under scripts/ run from a plain checkout, and step_hashes.py's
-digests stay frozen."""
+"""The scripts under scripts/ run from a plain checkout, the probe the timing
+scripts share restores what it patches, and step_hashes.py's digests stay
+frozen."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from dqseq import model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -23,6 +29,44 @@ def test_footprint_table_runs_from_a_plain_checkout():
     out = _run_script("scripts/footprint_table.py")
     rows = [line.split() for line in out.splitlines()]
     assert ["2-2-8", "6-3", "32.50", "MiB", "16.37x"] in rows  # README's 16.5x point
+
+
+# each timing script at a tiny size, and a table its JSON must fill
+TIMING_SCRIPTS = {
+    "op_times.py --warmup 1 --steps 2":
+        lambda out: all("linear" in out[kind]["forward"] for kind in ("teacher", "dq 2-2-8")),
+    "decode_times.py --batches 2": lambda out: "decode_step" in out["phase"],
+    "ckpt_times.py --warmup 1 --reps 2": lambda out: out["phases_ms_median"]["pack"] > 0,
+    "step_memory.py --warmup 1":
+        lambda out: all(out[kind]["heap_peak_bytes"] > 0 for kind in ("teacher", "dq 2-2-8")),
+}
+
+
+@pytest.mark.parametrize("command", TIMING_SCRIPTS)
+def test_timing_script_runs_and_finds_every_name(command):
+    script, *flags = command.split()
+    out = json.loads(_run_script(f"scripts/{script}", *flags).splitlines()[-1])
+    assert out["missing"] == [], f"names the probe no longer finds in dqseq: {out['missing']}"
+    assert TIMING_SCRIPTS[command](out), out
+
+
+def test_probe_reports_a_missing_name_and_restores_every_patch_on_an_exception(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the probe puts src/ and bench/ first
+    spec = importlib.util.spec_from_file_location("probe", os.path.join(ROOT, "scripts/probe.py"))
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    before = dict(vars(model)), dict(vars(model.DecodeState))
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with probe.Probe() as p:
+            p.patch_ops((model,), lambda op, fn: p.timed("forward", op, fn))
+            p.time(model, "decode_step", "phase")
+            p.time(model, "no_such_name", "phase")
+            p.time(model.DecodeState, "keep", "phase")
+            assert model.decode_step is not before[0]["decode_step"]
+            assert model.DecodeState.keep is not before[1]["keep"]
+            raise RuntimeError("inside the block")
+    assert p.missing == ["dqseq.model.no_such_name"]
+    assert (dict(vars(model)), dict(vars(model.DecodeState))) == before
 
 
 # scripts/step_hashes.py's digests: the parameters, per-step losses, decodes, saved file
