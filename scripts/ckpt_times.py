@@ -17,8 +17,7 @@ The timers wrap names through the probe. A save splits into
 quantize_params, pack (``checkpoint.pack_codes``) and write+fsync (the rest
 of save_checkpoint: record bytes, writes, fsync and rename). The
 quantize_params phase is wall time across its workers. A load splits into
-read+parse (``checkpoint.load_checkpoint``; the ``quantizer.unpack_codes``
-calls made inside it are also shown on their own), dequantize
+read+parse (``checkpoint.load_checkpoint``), dequantize
 (``QuantizedTensor.values``) and build_model (the rest of
 ``checkpoint.build_model``). Times are medians in ms per round. The last
 line of stdout is one JSON object; its ``missing`` lists the names the probe
@@ -43,7 +42,7 @@ from dqseq.model import init_model, param_specs
 from workloads import Q228
 
 TIMED = ((checkpoint, "pack_codes", "pack"), (checkpoint, "load_checkpoint", "read+parse"),
-         (checkpoint, "build_model", "build_model"), (quantizer, "unpack_codes", "unpack_codes"),
+         (checkpoint, "build_model", "build_model"),
          (quantizer.QuantizedTensor, "values", "dequantize"))
 
 
@@ -74,7 +73,6 @@ def one_round(master, categories, meta, path, probe=None) -> dict[str, float]:
             "pack": ms["pack"],
             "write+fsync": (t2 - t1) / 1e6 - ms["pack"],
             "read+parse": ms["read+parse"],
-            "unpack_codes": ms["unpack_codes"],
             "dequantize": ms["dequantize"],
             "build_model": ms["build_model"] - ms["dequantize"],
         })
@@ -123,8 +121,7 @@ def main() -> int:
               f"{r['timed_ms_median']} ms with timers")
     print(f"  {'phase':<28}{'ms':>9}")
     for name, ms in result["phases_ms_median"].items():
-        label = f"  (of which {name})" if name == "unpack_codes" else name
-        print(f"  {label:<28}{ms:>9.3f}")
+        print(f"  {name:<28}{ms:>9.3f}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

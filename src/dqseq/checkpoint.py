@@ -160,8 +160,9 @@ def load_checkpoint(path: str):
     """Read back (params, meta); the bit-exact inverse of save_checkpoint.
 
     Quantized records come back as QuantizedTensor over their packed bytes,
-    everything else as a trainable Tensor. Only build_model checks the set
-    against the config's inventory: a file cut at a record boundary loads here.
+    everything else as a trainable Tensor. A repeated or out-of-order name is
+    refused. Only build_model checks the set against the config's inventory:
+    a file cut at a record boundary loads here.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
@@ -172,11 +173,16 @@ def load_checkpoint(path: str):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     meta = _parse_config_block(bytes(r.take(r.u64())))
     params: dict[str, Tensor | QuantizedTensor] = {}
+    last = None  # the name before: save_checkpoint writes each once, in sorted order
     while not r.exhausted:
         try:
             name = str(r.take(r.u64()), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"tensor name is not utf-8: {exc}") from exc
+        if last is not None and name <= last:
+            raise CheckpointError(f"tensor {name!r} follows {last!r}: records must be in "
+                                  f"sorted-name order, each name once")
+        last = name
         shape = r.u64s(r.u64())
         try:
             params[name] = _read_payload(r, name, shape)

@@ -4,11 +4,11 @@ The forward pass returns a trace of everything the distillation losses
 consume: logits, per-layer pre-softmax attention scores (encoder self,
 decoder self, cross) and per-layer hidden states, plus the validity masks
 that say which positions are real. The token embedding table is shared by
-the encoder input, decoder input, and output projection. Keys and values
-are split into heads once, where they are made. Greedy decoding encodes the
-sources once and then runs the decoder one position at a time over the rows
-that have not yet emitted EOS, caching each layer's per-head self-attention
-keys and values.
+the encoder input, decoder input, and output projection. Queries, keys and
+values are split into heads once, where linear makes them. Greedy decoding
+encodes the sources once and then runs the decoder one position at a time
+over the rows that have not yet emitted EOS, caching each layer's per-head
+self-attention keys and values.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from .tensor import (
     scale,
     transpose,
 )
-
-# additive mask value carried by attention scores at invalid key positions
-MASK_VALUE = -1e9
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -218,14 +215,14 @@ def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, ca
     """
     xn = layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
     xq = quantize_activation(xn, a_bits)  # once for queries, keys and values
-    q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"], cfg.n_heads)
     if kv is None:
         kv = _keys_values(p, prefix, xq, cfg.n_heads)
         if cache is not None:
             kv = cache.append(*kv)
     k, v = kv
-    scores = attention_scores(q, k, key_mask, cfg.n_heads, MASK_VALUE)
-    ctx = attention_context(scores, v, cfg.n_heads, drop, rng)
+    scores = attention_scores(q, k, key_mask)
+    ctx = attention_context(scores, v, drop, rng)
     out = linear(quantize_activation(ctx, a_bits), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return add(x, dropout(out, drop, rng)), scores
 

@@ -61,7 +61,7 @@ _NAN_CHECKS = False
 
 
 def set_nan_checks(enabled: bool) -> None:
-    """Toggle per-op finiteness assertions on forward results (test use)."""
+    """Toggle per-op finiteness assertions on forward results (the trainer's NaN replay)."""
     global _NAN_CHECKS
     _NAN_CHECKS = bool(enabled)
 
@@ -251,11 +251,11 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
     and the node has two parents.
 
     With n_heads, the output of a [B, L, k] input is split into heads as it
-    is made: per-head values [B, H, L, n / H], or with keys per-head keys
-    [B, H, n / H, L], the layouts attention_context and attention_scores
-    read; backward merges the heads' gradients first. The node keeps x only
-    for w's gradient and w only for x's, each as its quantized link when it
-    has one (Tensor.quant), else as the float array.
+    is made: per-head queries or values [B, H, L, n / H], or with keys
+    per-head keys [B, H, n / H, L], the layouts attention_scores and
+    attention_context read; backward merges the heads' gradients first. The
+    node keeps x only for w's gradient and w only for x's, each as its
+    quantized link when it has one (Tensor.quant), else as the float array.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
     X, W = x.data, w.data
@@ -282,8 +282,8 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
     out = X @ W
     if b is not None:
         out += b.data
-    if n_heads:
-        out = _to_heads(out, n_heads, axes)
+    if n_heads:  # copied contiguous, so the attention ops' batched matmuls round as they did
+        out = np.ascontiguousarray(out.reshape(*out_shape[:2], n_heads, -1).transpose(axes))
     return _record("linear", out, (x, w) if b is None else (x, w, b), bwd)
 
 
@@ -447,57 +447,47 @@ def _dropout_keep(shape, rate: float, rng: np.random.Generator | None) -> np.nda
     return (rng.random(shape) >= rate).astype(np.float32) / (1.0 - rate)
 
 
-def _to_heads(x: np.ndarray, n_heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
-    """[B, L, D] -> [B, L, H, D / H] transposed by axes, copied to the layout a
-    transpose node's output had, so the batched matmuls round as they did."""
-    b, l, d = x.shape
-    return np.ascontiguousarray(x.reshape(b, l, n_heads, d // n_heads).transpose(axes))
+# the score of a key that attention_scores' key mask leaves out
+MASK_VALUE = -1e9
 
 
-def attention_scores(q, k, key_mask, n_heads: int, fill: float) -> Tensor:
-    """Per-head q k^T / sqrt(D / n_heads) of [B, Lq, D] queries and per-head
-    keys [B, H, D / H, Lk] (linear(..., n_heads, keys=True)), as [B, H, Lq, Lk],
-    with fill wherever the constant boolean key_mask (broadcast to the
-    scores) is False; filled entries get zero gradient."""
+def attention_scores(q, k, key_mask) -> Tensor:
+    """Per-head q k^T / sqrt(D / H) of per-head queries [B, H, Lq, D / H]
+    (linear(..., n_heads)) and keys [B, H, D / H, Lk] (linear(..., n_heads,
+    keys=True)), as [B, H, Lq, Lk], with MASK_VALUE wherever the constant
+    boolean key_mask (broadcast to the scores) is False; masked entries get
+    zero gradient."""
     q, k = _as_tensor(q), _as_tensor(k)
-    kt, dh = k.data, q.shape[-1] // n_heads
-    if q.data.ndim != 3 or q.shape[2] % n_heads or kt.ndim != 4 \
-            or kt.shape[:3] != (q.shape[0], n_heads, dh):
-        raise ShapeError(f"attention_scores needs [B, L, D] q and [B, {n_heads}, D / {n_heads}, L] "
-                         f"k; got {q.shape} and {k.shape}")
-    qh = _to_heads(q.data, n_heads)
-    scale, keep = 1.0 / math.sqrt(dh), np.asarray(key_mask, dtype=bool)
+    qh, kt = q.data, k.data
+    if qh.ndim != 4 or kt.ndim != 4 or kt.shape[:3] != qh.shape[:2] + qh.shape[3:]:
+        raise ShapeError(f"attention_scores needs [B, H, Lq, D / H] q and [B, H, D / H, Lk] k; "
+                         f"got {q.shape} and {k.shape}")
+    scale, keep = 1.0 / math.sqrt(qh.shape[3]), np.asarray(key_mask, dtype=bool)
     out = qh @ kt
     out *= scale
     try:
-        np.copyto(out, np.float32(fill), where=~keep)
+        np.copyto(out, np.float32(MASK_VALUE), where=~keep)
     except ValueError:
         raise ShapeError(f"mask {keep.shape} does not broadcast to {out.shape}") from None
-    q_shape = q.shape
     need_q, need_k = q.requires_grad, k.requires_grad
 
     def bwd(g):
         g = g * keep
         g *= scale
-        gq = gk = None
-        if need_q:
-            gq = (g @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(q_shape)
-        if need_k:
-            gk = np.swapaxes(qh, -1, -2) @ g
+        gq = g @ np.swapaxes(kt, -1, -2) if need_q else None
+        gk = np.swapaxes(qh, -1, -2) @ g if need_k else None
         return gq, gk
 
     return _record("attention_scores", out, (q, k), bwd)
 
 
-def attention_context(scores, v, n_heads: int, rate: float,
-                      rng: np.random.Generator | None) -> Tensor:
+def attention_context(scores, v, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Softmax of [B, H, Lq, Lk] scores over the keys, inverted dropout at
     rate, then each head's mix of per-head values [B, H, Lk, D / H]
     (linear(..., n_heads)), merged to [B, Lq, D]."""
     scores, v = _as_tensor(scores), _as_tensor(v)
     s, vh = scores.data, v.data
-    if s.ndim != 4 or vh.ndim != 4 or s.shape[:2] != (vh.shape[0], n_heads) \
-            or vh.shape[1:3] != (n_heads, s.shape[3]):
+    if s.ndim != 4 or vh.ndim != 4 or s.shape[:2] + s.shape[3:] != vh.shape[:3]:
         raise ShapeError(f"attention_context needs [B, H, Lq, Lk] scores and [B, H, Lk, D / H] "
                          f"values; got {s.shape} and {vh.shape}")
     # the keys' max plane by plane over a [Lk, ...] copy: exact, since max ignores order

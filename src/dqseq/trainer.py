@@ -21,6 +21,8 @@ from .tasks import BOS, EOS, PAD, Dataset, Splits, detokenize, seq2seq_batch
 from .tensor import Tape, Tensor, backward, no_grad, set_nan_checks
 
 MODES = ("teacher", "dq", "quant_only", "distill_only", "sf", "direct_quant")
+# the scores EvalReport.to_dict gives, any of which can pick the best epoch
+EVAL_METRICS = ("token_acc", "seq_acc", "rouge_1", "rouge_2", "rouge_l")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -49,6 +51,9 @@ class TrainConfig:
             raise TrainError("epochs, batch_size, learning_rate must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise TrainError(f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}")
+        if self.eval_metric not in EVAL_METRICS:
+            raise TrainError(f"eval_metric must be one of {EVAL_METRICS}, "
+                             f"got {self.eval_metric!r}")
 
 
 @dataclass
@@ -74,13 +79,7 @@ class EvalReport:
     n_examples: int
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "token_acc": self.token_acc,
-            "seq_acc": self.seq_acc,
-            "rouge_1": self.rouge_1,
-            "rouge_2": self.rouge_2,
-            "rouge_l": self.rouge_l,
-        }
+        return {k: getattr(self, k) for k in EVAL_METRICS}
 
 
 def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:

@@ -260,7 +260,7 @@ def test_gradients_match_finite_differences():
     def w64(out, shape):
         return float((out * mix(shape)).sum())
 
-    def heads(x, keys=False):  # two heads, made as the model makes keys and values
+    def heads(x, keys=False):  # two heads, made as the model makes queries, keys and values
         return linear(x, np.eye(4, dtype=np.float32), np.zeros(4, np.float32), 2, keys)
 
     a34, b34, m34 = T(3, 4), T(3, 4), T(3, 4)
@@ -298,13 +298,14 @@ def test_gradients_match_finite_differences():
         ("linear", (T(2, 3, 4), T(4, 5), T(5)),
          lambda x, w, b: w32(linear(x, w, b), (2, 3, 5)),
          lambda x, w, b: w64(ref_linear(x, w, b), (2, 3, 5))),
+        # the reference's fill moves no gradient; MASK_VALUE's -1e9 would swamp the fd
         ("attention_scores masked key", (T(2, 3, 4), T(2, 5, 4)),
-         lambda q, k: w32(attention_scores(q, heads(k, keys=True), key_mask, 2, -2.0),
+         lambda q, k: w32(attention_scores(heads(q), heads(k, keys=True), key_mask),
                           (2, 2, 3, 5)),
          lambda q, k: w64(ref_attention_scores(q, k, key_mask, 2, -2.0), (2, 2, 3, 5))),
         ("attention_context dropout", (T(2, 2, 3, 5), T(2, 5, 4)),
-         lambda s, v: w32(attention_context(s, heads(v), 2, 0.5,
-                                            np.random.default_rng(drop_seed)), (2, 3, 4)),
+         lambda s, v: w32(attention_context(s, heads(v), 0.5, np.random.default_rng(drop_seed)),
+                          (2, 3, 4)),
          lambda s, v: w64(ref_attention_context(s, v, 2, drop_keep((2, 2, 3, 5))), (2, 3, 4))),
         ("layer_norm", (T(3, 4), T(4), T(4)),
          lambda a, g, b: w32(layer_norm(a, g, b), (3, 4)),

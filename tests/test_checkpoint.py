@@ -355,6 +355,16 @@ def test_non_finite_scale_is_rejected(tmp_path, scale):
         load_checkpoint(write(tmp_path / "bad.ckpt", bytes(blob)))
 
 
+@pytest.mark.parametrize("first", [b"a", b"b"], ids=["repeated", "out-of-order"])
+def test_a_name_not_after_the_one_before_it_is_rejected(tmp_path, first):
+    # save_checkpoint writes records in sorted-name order, each once: a later record
+    # must not silently replace an earlier one
+    body = struct.pack("<B", TAG_FLOAT32) + np.zeros(1, "<f4").tobytes()
+    blob = header(tmp_path) + record(first, (1,), body) + record(b"a", (1,), body)
+    with pytest.raises(CheckpointError, match=f"tensor 'a' follows '{first.decode()}'"):
+        load_checkpoint(write(tmp_path / "names.ckpt", blob))
+
+
 def test_non_utf8_name_is_rejected(tmp_path):
     body = struct.pack("<B", TAG_FLOAT32) + np.zeros(1, "<f4").tobytes()
     path = write(tmp_path / "name.ckpt", header(tmp_path) + record(b"\xff\xfe", (1,), body))

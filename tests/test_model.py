@@ -8,7 +8,6 @@ import pytest
 
 from dqseq import model
 from dqseq.model import (
-    MASK_VALUE,
     ConfigError,
     DecodeState,
     ModelConfig,
@@ -23,7 +22,7 @@ from dqseq.model import (
 from dqseq.metrics import footprint
 from dqseq.quantizer import QuantConfig, quantize_model
 from dqseq.tasks import BOS, EOS
-from dqseq.tensor import ShapeError, Tape, backward, sum_all
+from dqseq.tensor import MASK_VALUE, ShapeError, Tape, backward, sum_all
 
 import oracles
 

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -138,7 +139,7 @@ def test_bias_free_linear_keeps_a_negative_zero_product():
 
 
 def heads(x, n_heads, keys=False):
-    """[B, L, D] keys or values in the per-head layout the attention ops read,
+    """[B, L, D] queries, keys or values in the per-head layout the attention ops read,
     made on the tape as the model makes them: by linear, here with an
     identity weight and a zero bias."""
     d = x.shape[-1]
@@ -149,7 +150,7 @@ def _probs(scores):
     """attention_context's softmax rows: one head over identity values."""
     n = scores.shape[-1]
     return attention_context(Tensor(scores.reshape(1, 1, -1, n)), Tensor(np.eye(n)[None, None]),
-                             1, 0.0, None).data[0]
+                             0.0, None).data[0]
 
 
 def test_softmax_stability():
@@ -258,7 +259,7 @@ def test_attention_scores_mask_values_and_grad():
     k = Tensor(np.ones((1, 2, 2)), requires_grad=True)
     keep = np.array([[True, False], [False, True]])
     with Tape():
-        out = attention_scores(q, heads(k, 1, keys=True), keep, 1, -1e9)
+        out = attention_scores(heads(q, 1), heads(k, 1, keys=True), keep)
         backward(sum_all(out))
     # one head of width 2 scales by 1/sqrt(2); q . k of ones is 2
     s = np.float32(1 / math.sqrt(2))
@@ -267,9 +268,36 @@ def test_attention_scores_mask_values_and_grad():
     assert np.array_equal(q.grad, np.full((1, 2, 2), s, np.float32))
     assert np.array_equal(k.grad, np.full((1, 2, 2), s, np.float32))
     with pytest.raises(ShapeError, match="mask"):
-        attention_scores(q, heads(k, 1, keys=True), np.ones((1, 1, 2, 2, 2), bool), 1, -1e9)
+        attention_scores(heads(q, 1), heads(k, 1, keys=True), np.ones((1, 1, 2, 2, 2), bool))
     with pytest.raises(ShapeError, match="mask"):  # the wrong key length
-        attention_scores(q, heads(k, 1, keys=True), np.ones((1, 1, 1, 3), bool), 1, -1e9)
+        attention_scores(heads(q, 1), heads(k, 1, keys=True), np.ones((1, 1, 1, 3), bool))
+
+
+def test_masked_scores_are_mask_value_exactly():
+    rng = np.random.default_rng(4)
+    keep = rng.random((2, 1, 3, 5)) < 0.5
+    out = attention_scores(Tensor(rand(rng, 2, 2, 3, 4)), Tensor(rand(rng, 2, 2, 4, 5)), keep)
+    masked = np.broadcast_to(~keep, out.shape)
+    assert masked.any() and not masked.all()
+    assert out.data[masked].tobytes() == np.full(masked.sum(), tensor.MASK_VALUE,
+                                                 np.float32).tobytes()
+    assert not np.any(out.data[~masked] == np.float32(tensor.MASK_VALUE))
+
+
+@pytest.mark.parametrize("q_shape, k_shape", [
+    ((2, 2, 3, 4), (3, 2, 4, 5)), ((2, 2, 3, 4), (2, 1, 4, 5)), ((2, 2, 3, 4), (2, 2, 2, 5)),
+    ((2, 3, 8), (2, 2, 4, 5)),  # queries not split into heads
+], ids=["batch", "heads", "head-width", "merged-queries"])
+def test_attention_scores_refuses_queries_and_keys_that_disagree(q_shape, k_shape):
+    with pytest.raises(ShapeError, match=re.escape(f"got {q_shape} and {k_shape}")):
+        attention_scores(Tensor(np.ones(q_shape)), Tensor(np.ones(k_shape)), True)
+
+
+@pytest.mark.parametrize("v_shape", [(3, 2, 5, 4), (2, 1, 5, 4), (2, 2, 6, 4), (2, 5, 4)],
+                         ids=["batch", "heads", "keys", "merged-values"])
+def test_attention_context_refuses_scores_and_values_that_disagree(v_shape):
+    with pytest.raises(ShapeError, match=re.escape(f"got (2, 2, 3, 5) and {v_shape}")):
+        attention_context(Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.ones(v_shape)), 0.0, None)
 
 
 def test_attention_softmax_max_matches_row_max_on_masked_scores():
@@ -286,7 +314,7 @@ def test_attention_softmax_max_matches_row_max_on_masked_scores():
     y /= y.sum(axis=-1, keepdims=True)
     vh = np.ascontiguousarray(v.reshape(2, 5, 2, 2).transpose(0, 2, 1, 3))
     want = np.ascontiguousarray((y @ vh).transpose(0, 2, 1, 3)).reshape(2, 3, 4)
-    assert np.array_equal(attention_context(Tensor(s), heads(v, 2), 2, 0.0, None).data,
+    assert np.array_equal(attention_context(Tensor(s), heads(v, 2), 0.0, None).data,
                           want)
 
 
@@ -371,8 +399,8 @@ def test_decode_step_op_bits_are_frozen():
 
         def ops(x):
             ln = layer_norm(x, Tensor(gain), Tensor(bias))
-            s = attention_scores(ln, Tensor(k), mask, 4, -1e9)
-            return ln, s, attention_context(s, Tensor(v), 4, 0.0, None)
+            s = attention_scores(heads(ln, 4), Tensor(k), mask)
+            return ln, s, attention_context(s, Tensor(v), 0.0, None)
 
         with no_grad():
             outs = [t.data for t in ops(Tensor(x))]
@@ -420,12 +448,12 @@ def test_cross_entropy_row_max_matches_logits_max_bit_for_bit():
 def test_attention_context_dropout_draws_like_dropout():
     rng = np.random.default_rng(0)
     s, v = rand(rng, 2, 2, 3, 4), rand(rng, 2, 4, 6)
-    out = attention_context(Tensor(s), heads(v, 2), 2, 0.3, np.random.default_rng(9))
+    out = attention_context(Tensor(s), heads(v, 2), 0.3, np.random.default_rng(9))
     keep = dropout(Tensor(np.ones(s.shape)), 0.3, np.random.default_rng(9)).data
     want = oracles.ref_attention_context(s.astype(np.float64), v.astype(np.float64), 2, keep)
     assert np.allclose(out.data, want, atol=1e-5)
     with pytest.raises(ValueError, match="rng"):
-        attention_context(Tensor(s), heads(v, 2), 2, 0.3, None)
+        attention_context(Tensor(s), heads(v, 2), 0.3, None)
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +763,13 @@ def test_grad_softmax_layer_norm():
         x = rand(rng, 3, 6)
         keep = rng.random((2, 1, 3, 6)) > 0.3
         check_grads(  # softmax inside attention_context, then the value mix
-            lambda a, v: attention_context(a, heads(v, 2), 2, 0.0, None),
+            lambda a, v: attention_context(a, heads(v, 2), 0.0, None),
             lambda a, v: oracles.ref_attention_context(a, v, 2),
             [rand(rng, 2, 2, 3, 6), rand(rng, 2, 6, 4)],
             f"sm{s}",
         )
-        check_grads(
-            lambda q, k: attention_scores(q, heads(k, 2, keys=True), keep, 2, -4.0),
+        check_grads(  # the reference's fill moves no gradient; -1e9 would swamp the fd
+            lambda q, k: attention_scores(heads(q, 2), heads(k, 2, keys=True), keep),
             lambda q, k: oracles.ref_attention_scores(q, k, keep, 2, -4.0),
             [rand(rng, 2, 3, 4), rand(rng, 2, 6, 4)],
             f"as{s}",

@@ -51,6 +51,15 @@ def test_train_config_validation():
         TrainConfig(mode="teacher", epochs=0)
 
 
+def test_train_config_refuses_an_unknown_eval_metric():
+    # refused at construction, not by a KeyError after the first epoch's evaluation
+    with pytest.raises(TrainError, match="'token_acc', 'seq_acc', 'rouge_1', 'rouge_2', "
+                                         "'rouge_l'.*'bleu'"):
+        TrainConfig("teacher", eval_metric="bleu")
+    for name in trainer.EVAL_METRICS:
+        assert TrainConfig("teacher", eval_metric=name).eval_metric == name
+
+
 def test_lr_schedule_endpoints_and_peak():
     base = 3e-4
     assert lr_schedule(0, 100, base, 0.05) == 0.0
