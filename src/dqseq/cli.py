@@ -41,6 +41,13 @@ def _add_bits_flags(p: argparse.ArgumentParser) -> None:
                    help="per-row scales for 2-D tensors; compress stores it in the checkpoint")
 
 
+def _add_arch_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d-model", type=int, default=64)
+    p.add_argument("--n-heads", type=int, default=4)
+    p.add_argument("--d-ff", type=int, default=128)
+    p.add_argument("--max-positions", type=int, default=32)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=32)
@@ -52,6 +59,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _task_spec(args) -> TaskSpec:
     return TaskSpec(args.task, args.vocab_size, args.min_len, args.max_len,
                     args.train_size, args.dev_size, args.test_size, args.seed)
+
+
+def _model_config(args, enc_layers: int, dec_layers: int) -> ModelConfig:
+    return ModelConfig(args.vocab_size, args.d_model, args.n_heads, args.d_ff,
+                       enc_layers, dec_layers, args.max_positions)
 
 
 def _qconfig(args) -> QuantConfig:
@@ -82,20 +94,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train_teacher(args) -> int:
-    config = ModelConfig(
-        vocab_size=args.vocab_size,
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        d_ff=args.d_ff,
-        n_enc_layers=args.enc_layers,
-        n_dec_layers=args.dec_layers,
-        max_positions=args.max_positions,
-    )
     manifest = RunManifest(
         task=_task_spec(args),
         train_config=TrainConfig("teacher", epochs=args.epochs, batch_size=args.batch_size,
                                  learning_rate=args.lr, seed=args.seed),
-        model_config=config,
+        model_config=_model_config(args, args.enc_layers, args.dec_layers),
         out_path=args.out,
     )
     row = run_experiment(manifest, log_path=args.log)
@@ -153,8 +156,7 @@ def _cmd_footprint(args) -> int:
     else:
         enc = 2 if args.enc_layers is None else args.enc_layers
         dec = 2 if args.dec_layers is None else args.dec_layers
-        target = ModelConfig(args.vocab_size, args.d_model, args.n_heads, args.d_ff,
-                             enc, dec, args.max_positions)
+        target = _model_config(args, enc, dec)
         baseline = None
     fp = footprint(target, qconfig, baseline=baseline)
     print(f"{args.arch} {qconfig.label} {enc}-{dec}: "
@@ -185,12 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-teacher", help="train a full-precision teacher")
     _add_task_flags(p)
     _add_train_flags(p)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=128)
+    _add_arch_flags(p)
     p.add_argument("--enc-layers", type=int, default=2)
     p.add_argument("--dec-layers", type=int, default=2)
-    p.add_argument("--max-positions", type=int, default=32)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--manifest", help="also record the run manifest here")
     p.set_defaults(func=_cmd_train_teacher)
@@ -220,10 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enc-layers", type=int)
     p.add_argument("--dec-layers", type=int)
     p.add_argument("--vocab-size", type=int, default=16)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=128)
-    p.add_argument("--max-positions", type=int, default=32)
+    _add_arch_flags(p)
     p.set_defaults(func=_cmd_footprint)
 
     p = sub.add_parser("table", help="merge run manifests into one CSV")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .model import ForwardTrace, SeqModel, param_specs
-from .tensor import Tensor, add, cross_entropy, mse, reshape
+from .tensor import Tensor, add, cross_entropy, mse
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ def _masked_mse(students: list[Tensor], teachers: list[Tensor], mask: np.ndarray
 
 def task_loss(student: ForwardTrace, labels: np.ndarray, pad_id: int) -> Tensor:
     """Cross-entropy of the gold labels, ignoring padded positions."""
-    b, t, v = student.logits.shape
-    flat = reshape(student.logits, (b * t, v))
-    return cross_entropy(flat, np.asarray(labels, np.int64).reshape(-1), ignore_id=pad_id)
+    return cross_entropy(student.logits, labels, ignore_id=pad_id)
 
 
 def total_loss(

@@ -7,8 +7,9 @@ that say which positions are real. The token embedding table is shared by
 the encoder input, decoder input, and output projection. Queries, keys and
 values are split into heads once, where linear makes them. Greedy decoding
 encodes the sources once and then runs the decoder one position at a time
-over the rows that have not yet emitted EOS, caching each layer's per-head
-self-attention keys and values.
+over the rows that have not yet emitted EOS. One DecodeState carries those
+rows and each layer's per-head self-attention keys and values, which start
+at zero positions.
 """
 
 from __future__ import annotations
@@ -187,44 +188,28 @@ def _keys_values(p, prefix, source: Tensor, n_heads: int) -> tuple[Tensor, Tenso
             linear(source, p[f"{prefix}.wv"], p[f"{prefix}.bv"], n_heads))
 
 
-class _KVCache:
-    """Self-attention keys and values of one decoder layer, per head, one
-    position at a time. Appending copies arrays off the tape, so the cache
-    carries no gradient: it is for inference only."""
-
-    def __init__(self):
-        self.k: Tensor | None = None  # [B, H, dh, positions so far]
-        self.v: Tensor | None = None  # [B, H, positions so far, dh]
-
-    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Add the newest positions' keys and values; return all of them."""
-        if self.k is not None:
-            k = Tensor(np.concatenate([self.k.data, k.data], axis=3))
-            v = Tensor(np.concatenate([self.v.data, v.data], axis=2))
-        self.k, self.v = k, v
-        return k, v
-
-
-def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, cache=None):
-    """One residual attention block. Returns (new_x, masked pre-softmax scores).
+def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, past=None):
+    """One residual attention block. Returns (new_x, masked pre-softmax
+    scores, the (keys, values) pair it attended to).
 
     kv is a (keys, values) pair computed elsewhere, as cross-attention's are
     from the encoder memory, or None for self-attention over x, whose keys
-    and values are then appended to `cache` (the earlier positions') when
-    one is given.
+    and values then extend the `past` pair (the earlier positions') when one
+    is given. Extending copies arrays off the tape: it is for inference only.
     """
     xn = layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
     xq = quantize_activation(xn, a_bits)  # once for queries, keys and values
     q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"], cfg.n_heads)
     if kv is None:
         kv = _keys_values(p, prefix, xq, cfg.n_heads)
-        if cache is not None:
-            kv = cache.append(*kv)
+        if past is not None:
+            kv = (Tensor(np.concatenate([past[0].data, kv[0].data], axis=3)),
+                  Tensor(np.concatenate([past[1].data, kv[1].data], axis=2)))
     k, v = kv
     scores = attention_scores(q, k, key_mask)
     ctx = attention_context(scores, v, drop, rng)
     out = linear(quantize_activation(ctx, a_bits), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    return add(x, dropout(out, drop, rng)), scores
+    return add(x, dropout(out, drop, rng)), scores, kv
 
 
 def _ffn(p, prefix, ln_prefix, x, a_bits, drop, rng):
@@ -254,10 +239,6 @@ class Encoded:
     enc_attn: list[Tensor]  # [B, H, Ls, Ls] per encoder layer
     enc_hidden: list[Tensor]  # [B, Ls, D] per encoder layer
 
-    @property
-    def key_mask(self) -> np.ndarray:
-        return self.src_valid[:, None, None, :]
-
 
 def encode(
     model: SeqModel,
@@ -275,10 +256,11 @@ def encode(
     _check_length(cfg, "src", src.shape[1])
     drop = cfg.dropout_rate if training else 0.0
     enc = Encoded(src != pad_id, [], [], [])
+    key_mask = enc.src_valid[:, None, None, :]
     x = _embed(p, src, 0, cfg.d_model, drop, rng)
     for i in range(cfg.n_enc_layers):
-        x, scores = _attention(
-            p, f"enc.{i}.attn", f"enc.{i}.ln1", x, None, enc.key_mask, cfg, a_bits, drop, rng
+        x, scores, _ = _attention(
+            p, f"enc.{i}.attn", f"enc.{i}.ln1", x, None, key_mask, cfg, a_bits, drop, rng
         )
         x = _ffn(p, f"enc.{i}.ffn", f"enc.{i}.ln2", x, a_bits, drop, rng)
         enc.enc_attn.append(scores)
@@ -292,20 +274,26 @@ def encode(
     return enc
 
 
-def _decode(model, enc, tgt, start, self_key_mask, caches, a_bits, drop, rng, trace) -> None:
+def _decode(model, source, tgt, start, self_key_mask, a_bits, drop, rng, trace, pasts=None):
     """Decoder pass over target positions start, start + 1, ...; fills trace's
-    decoder fields and logits. caches holds one _KVCache per layer, or None."""
+    decoder fields and logits. source, an Encoded or a DecodeState, gives the
+    source mask and cross-attention keys and values; pasts, if given, one
+    self-attention (keys, values) pair per layer of the earlier positions.
+    Returns the self-attention pairs each layer attended to."""
     cfg, p = model.config, model.params
+    src_key_mask = source.src_valid[:, None, None, :]
+    self_kv = []
     y = _embed(p, tgt, start, cfg.d_model, drop, rng)
     for i in range(cfg.n_dec_layers):
-        y, self_scores = _attention(
+        y, self_scores, kv = _attention(
             p, f"dec.{i}.attn", f"dec.{i}.ln1", y, None, self_key_mask, cfg, a_bits, drop, rng,
-            caches[i],
+            pasts[i] if pasts else None,
         )
-        y, cross_scores = _attention(
-            p, f"dec.{i}.cross", f"dec.{i}.ln2", y, enc.cross_kv[i], enc.key_mask, cfg, a_bits,
-            drop, rng,
+        y, cross_scores, _ = _attention(
+            p, f"dec.{i}.cross", f"dec.{i}.ln2", y, source.cross_kv[i], src_key_mask, cfg,
+            a_bits, drop, rng,
         )
+        self_kv.append(kv)
         y = _ffn(p, f"dec.{i}.ffn", f"dec.{i}.ln3", y, a_bits, drop, rng)
         trace.dec_attn.append(self_scores)
         trace.cross_attn.append(cross_scores)
@@ -315,6 +303,7 @@ def _decode(model, enc, tgt, start, self_key_mask, caches, a_bits, drop, rng, tr
     # tied output projection against the token table
     out_q = quantize_activation(out, a_bits)
     trace.logits = matmul(out_q, transpose(p["embed.tok"]))
+    return self_kv
 
 
 def forward(
@@ -353,33 +342,30 @@ def forward(
     causal = np.tril(np.ones((lt, lt), dtype=bool))
     self_key_mask = tgt_valid[:, None, None, :] & causal[None, None, :, :]
     drop = cfg.dropout_rate if training else 0.0
-    _decode(model, enc, tgt, 0, self_key_mask, [None] * cfg.n_dec_layers, a_bits, drop, rng,
-            trace)
+    _decode(model, enc, tgt, 0, self_key_mask, a_bits, drop, rng, trace)
     return trace
 
 
 class DecodeState:
     """What one-position decoder steps carry from call to call, for the rows
-    still decoding: their encoded sources (source mask and cross-attention
-    keys and values), and their earlier positions' validity and per-head
-    self-attention keys and values. keep() drops the other rows."""
+    still decoding: their source mask and cross-attention keys and values,
+    and their earlier positions' validity and per-head self-attention keys
+    and values, which start at zero positions. keep() drops the other rows."""
 
     def __init__(self, enc: Encoded):
-        self.enc = enc
+        self.src_valid, self.cross_kv = enc.src_valid, enc.cross_kv
         self.tgt_valid = np.zeros((enc.src_valid.shape[0], 0), dtype=bool)
-        self.caches = [_KVCache() for _ in enc.cross_kv]  # one per decoder layer
+        # per decoder layer: keys [B, H, dh, 0] and values [B, H, 0, dh], cut from the cross pair
+        self.self_kv = [(Tensor(k.data[..., :0]), Tensor(v.data[:, :, :0]))
+                        for k, v in self.cross_kv]
 
     def keep(self, rows: np.ndarray) -> None:
-        """Keep only `rows` (a boolean mask or indices over the current rows).
-        The encoder's own outputs are dropped: decoding never reads them."""
-        enc = self.enc
-        self.enc = Encoded(enc.src_valid[rows],
-                           [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in enc.cross_kv],
-                           [], [])
-        self.tgt_valid = self.tgt_valid[rows]
-        for c in self.caches:
-            if c.k is not None:  # empty until the first decode_step
-                c.k, c.v = Tensor(c.k.data[rows]), Tensor(c.v.data[rows])
+        """Keep only `rows` (a boolean mask or indices over the current rows)."""
+        self.src_valid, self.tgt_valid = self.src_valid[rows], self.tgt_valid[rows]
+        self.cross_kv, self.self_kv = (
+            [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in pairs]
+            for pairs in (self.cross_kv, self.self_kv)
+        )
 
 
 def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
@@ -391,7 +377,7 @@ def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
     returned trace has logits [B, 1, V]; up to float rounding they equal the
     last position of forward() over the whole prefix, because causal
     attention lets a position see exactly the ones before it. Inference
-    only: the cache is off the tape.
+    only: the state's keys and values are off the tape.
     """
     tok = np.asarray(ids, dtype=np.int64).reshape(-1, 1)
     rows, start = state.tgt_valid.shape
@@ -399,9 +385,9 @@ def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
         raise ShapeError(f"decode_step got {tok.shape[0]} ids for {rows} rows")
     _check_length(model.config, "tgt", start + 1)
     state.tgt_valid = np.concatenate([state.tgt_valid, tok != pad_id], axis=1)
-    trace = ForwardTrace(logits=None, src_valid=state.enc.src_valid, tgt_valid=state.tgt_valid)
-    _decode(model, state.enc, tok, start, state.tgt_valid[:, None, None, :], state.caches,
-            a_bits, 0.0, None, trace)
+    trace = ForwardTrace(logits=None, src_valid=state.src_valid, tgt_valid=state.tgt_valid)
+    state.self_kv = _decode(model, state, tok, start, state.tgt_valid[:, None, None, :], a_bits,
+                            0.0, None, trace, state.self_kv)
     return trace
 
 

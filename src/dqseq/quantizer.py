@@ -134,25 +134,11 @@ class QuantizedTensor:
         return out
 
     def _values_from_packed(self) -> np.ndarray:
-        # each byte gathers its 8 // bits float32 values from a 256-row table: alpha times
-        # the codes for one scale, else the bare codes, scaled by row afterwards. The gather
-        # goes in chunks, so that its intp copy of the indices stays small, and in mode
-        # "wrap", a no-op for byte indices that, unlike "raise", writes straight into out
-        u = np.frombuffer(self._packed, dtype=np.uint8)
+        # a table of alpha * code for one scale, else of bare codes, scaled by row below
         table = _VALUE_TABLES[self.bits]
         if self.alpha.ndim == 0:
             table = self.alpha * table
-        per, count = table.shape[1], self.size
-        out = np.empty(count, np.float32)
-        full = count // per
-        grid = out[: full * per].reshape(full, per)
-        for s in range(0, full, _GATHER_CHUNK):
-            e = min(s + _GATHER_CHUNK, full)
-            np.take(table, u[s:e], axis=0, out=grid[s:e], mode="wrap")
-        tail = count - full * per  # codes in a last byte that pads
-        if tail:
-            out[-tail:] = table[u[full], :tail]
-        out = out.reshape(self.shape)
+        out = _gather(table, np.frombuffer(self._packed, np.uint8), self.size).reshape(self.shape)
         if self.alpha.ndim == 1:
             out *= self.alpha[:, None]
         return out
@@ -351,6 +337,22 @@ _VALUE_TABLES = {bits: table.astype(np.float32) for bits, table in _CODE_TABLES.
 _GATHER_CHUNK = 1 << 16  # bytes per gather
 
 
+def _gather(table: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
+    """The first count entries, flat, of the rows of a 256-row table that the bytes u pick.
+    It gathers in chunks, so that its intp copy of the indices stays small, and in mode
+    "wrap", a no-op for byte indices that, unlike "raise", writes straight into out."""
+    per = table.shape[1]
+    out = np.empty(count, table.dtype)
+    whole, tail = u[: count // per], count % per  # tail: codes in a last byte that pads
+    grid = out[: count - tail].reshape(-1, per)
+    for s in range(0, whole.size, _GATHER_CHUNK):
+        c = slice(s, s + _GATHER_CHUNK)
+        np.take(table, whole[c], axis=0, out=grid[c], mode="wrap")
+    if tail:
+        out[-tail:] = table[u[whole.size], :tail]
+    return out
+
+
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     """Pack integer codes as bits-wide two's-complement fields.
 
@@ -391,11 +393,9 @@ def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
     if bits not in PACKED_BITS:
         raise ValueError(f"packable widths are {PACKED_BITS}; got {bits}")
     u = np.frombuffer(buf, dtype=np.uint8)
-    per = 8 // bits
-    if len(u) * per < count:
-        raise ValueError(f"{len(u)} bytes hold {len(u) * per} {bits}-bit codes, not {count}")
-    codes = np.take(_CODE_TABLES[bits], u[: -(-count // per)], axis=0, mode="wrap")
-    return codes.reshape(-1)[:count]
+    if len(u) * 8 < count * bits:
+        raise ValueError(f"{len(u)} bytes hold {len(u) * 8 // bits} {bits}-bit codes, not {count}")
+    return _gather(_CODE_TABLES[bits], u, count)
 
 
 def packed_size(count: int, bits: int, n_scales: int) -> int:

@@ -517,13 +517,6 @@ def attention_context(scores, v, rate: float, rng: np.random.Generator | None) -
     return _record("attention_context", ctx.reshape(s.shape[0], s.shape[2], -1), (scores, v), bwd)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    orig = a.shape
-    out = a.data.reshape(shape)
-    return _record("reshape", out, (a,), lambda g: (g.reshape(orig),))
-
-
 def transpose(a) -> Tensor:
     """a with its axes reversed."""
     a = _as_tensor(a)
@@ -603,13 +596,15 @@ def mse(a, b, mask=None) -> Tensor:
 def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
-    logits: [n, v]; targets: n integer ids. Rows whose target equals
-    ignore_id are excluded from the mean.
+    logits: [..., v], each row of v a distribution; targets: one integer id
+    per row. Rows whose target equals ignore_id are excluded from the mean.
     """
     logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy needs [n, v] logits, got {logits.shape}")
-    n, v = logits.shape
+    if logits.data.ndim < 2:
+        raise ShapeError(f"cross_entropy needs [..., v] logits, got {logits.shape}")
+    shape = logits.shape
+    x = logits.data.reshape(-1, shape[-1])
+    n, v = x.shape
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     if t.shape[0] != n:
         raise ShapeError(f"cross_entropy got {t.shape[0]} targets for {n} rows")
@@ -624,11 +619,11 @@ def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
             "cross_entropy",
             np.asarray(np.float32(0.0)),
             (logits,),
-            lambda g: (np.zeros((n, v), np.float32),),
+            lambda g: (np.zeros(shape, np.float32),),
         )
     # the row max plane by plane over a [v, n] copy, as in attention_context. A +-0 tie
     # may give either zero, but then two exps of 1 keep lse > 0 and logp's bits the same
-    z = logits.data - np.maximum.reduce(np.ascontiguousarray(logits.data.T), axis=0)[:, None]
+    z = x - np.maximum.reduce(np.ascontiguousarray(x.T), axis=0)[:, None]
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     rows = np.arange(n)[valid]
@@ -639,6 +634,6 @@ def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
         gl = np.zeros((n, v), np.float32)
         gl[rows] = p[rows]
         gl[rows, t[valid]] -= 1.0
-        return ((g / k) * gl,)
+        return ((g / k) * gl.reshape(shape),)
 
     return _record("cross_entropy", out, (logits,), bwd)

@@ -335,7 +335,7 @@ def test_decode_steps_run_only_the_rows_still_decoding(briefly_trained, q, monke
     step = model.decode_step
 
     def recording_step(m, state, ids, *args, **kwargs):
-        seen.append((state.enc.src_valid.copy(), np.asarray(ids).tolist()))
+        seen.append((state.src_valid.copy(), np.asarray(ids).tolist()))
         return step(m, state, ids, *args, **kwargs)
 
     monkeypatch.setattr(model, "decode_step", recording_step)

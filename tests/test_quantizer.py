@@ -13,6 +13,7 @@ from dqseq.quantizer import (
     packed_size,
     quantize,
     quantize_activation,
+    _GATHER_CHUNK,
     _round_half_away,
     unpack_codes,
 )
@@ -400,16 +401,23 @@ def test_two_bit_field_0b10_decodes_to_minus_two():
 @pytest.mark.parametrize("bits", [2, 4, 8])
 def test_packed_tensor_dequantizes_like_its_unpacked_codes(bits, row_wise):
     # values() gathered from the packed bytes is alpha * codes bit for bit, and the lazily
-    # unpacked codes are unpack_codes'; alphas include 0, -0.0, a subnormal and a huge one
+    # unpacked codes are unpack_codes', which are the reference's; alphas include 0, -0.0,
+    # a subnormal and a huge one
     rng = np.random.default_rng(20 + bits)
     per = 8 // bits
-    # a byte count covering every byte value, then counts whose last byte pads
-    for rows, cols in [(16, 16 * per), (3, 86 * per - 1), (7, 9), (1, 1)]:
+    # a byte count covering every byte value, then counts whose last byte pads, the last
+    # of them past one gather chunk of bytes
+    for rows, cols in [(16, 16 * per), (3, 86 * per - 1), (7, 9), (1, 1), (257, 256 * per + 1)]:
         count = rows * cols
+        n_bytes = -(-count // per)
         every_byte_twice = np.concatenate([rng.permutation(256), rng.permutation(256)])
-        buf = every_byte_twice.astype(np.uint8)[: -(-count // per)].tobytes()
+        buf = every_byte_twice.astype(np.uint8)[:n_bytes].tobytes()
+        if n_bytes > len(buf):  # random bytes after the first 512, so no chunk repeats one
+            buf += rng.integers(0, 256, n_bytes - len(buf), np.uint8).tobytes()
+            assert len(buf) > _GATHER_CHUNK and (count % per or bits == 8)
         assert count < 256 * per or set(buf) == set(range(256))
         codes = unpack_codes(buf, bits, count).reshape(rows, cols)
+        assert np.array_equal(codes.reshape(-1), oracles.ref_unpack_codes(buf, bits, count))
         scalars = np.float32([0.0, -0.0, 3e-42, 0.37, 1e30])
         if row_wise:
             alphas = [np.resize(rng.permutation(scalars), rows), rng.random(rows, np.float32)]

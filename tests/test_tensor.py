@@ -31,7 +31,6 @@ from dqseq.tensor import (
     mse,
     mul,
     no_grad,
-    reshape,
     scale,
     set_nan_checks,
     straight_through,
@@ -804,11 +803,7 @@ def test_grad_losses():
 def test_grad_structural_ops():
     rng = np.random.default_rng(4)
     for s in range(6):
-        x = rand(rng, 2, 3, 4)
-        check_grads(
-            lambda a: reshape(a, (6, 4)), lambda a: a.reshape(6, 4), [x], f"rs{s}"
-        )
-        check_grads(transpose, np.transpose, [x], f"tp{s}")
+        check_grads(transpose, np.transpose, [rand(rng, 2, 3, 4)], f"tp{s}")
         table = rand(rng, 6, 4)
         ids = rng.integers(0, 6, size=(3, 2))
         onehot = np.zeros((ids.size, 6))

@@ -214,7 +214,7 @@ def test_step_aborts_on_nonfinite_loss():
             distillation_aware_step(
                 master, teacher, batch, qc, LayerMap((0,), (0,)), opt, lr=1e-3
             )
-    assert str(info.value).endswith("op 'mse' (node 52)"), info.value
+    assert str(info.value).endswith("op 'mse' (node 51)"), info.value
 
 
 @pytest.mark.parametrize("qbits, node", [((32, 32, 32), 15), ((2, 2, 8), 35)])
