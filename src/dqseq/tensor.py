@@ -298,15 +298,6 @@ def add(a, b) -> Tensor:
     return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def mul(a, b) -> Tensor:
-    """Elementwise (Hadamard) product."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    A, B = a.data, b.data
-    return _record("mul", A * B, (a, b), lambda g: (g * B, g * A))
-
-
 def scale(a, s: float) -> Tensor:
     """Multiply every element by the Python scalar s."""
     a = _as_tensor(a)
@@ -543,13 +534,6 @@ def straight_through(x, values, quant=None) -> Tensor:
         out.quant = quant
         quant.holders, quant.restored = 0, None  # nodes that keep it; see _restored
     return out
-
-
-def sum_all(a) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    a = _as_tensor(a)
-    out, shape = np.asarray(a.data.sum(), dtype=np.float32), a.shape
-    return _record("sum_all", out, (a,), lambda g: (np.broadcast_to(g, shape).astype(np.float32),))
 
 
 def mse(a, b, mask=None) -> Tensor:

@@ -283,6 +283,9 @@ def train(
         meta = CheckpointMeta(master.config, qconfig, None, tconfig)
         report = evaluate(master, splits.dev, qconfig)
         meta.history.append({"epoch": 0, "step": 0, "lr": 0.0, **_zero_losses(), **_dev(report)})
+        if log_path:
+            with open(log_path, "w") as log:
+                log.write(json.dumps(meta.history[0]) + "\n")
         return master, meta
 
     master, lmap, qconfig, dconfig, task_only = _resolve_mode(

@@ -2,25 +2,22 @@
 
 Each test asserts its criterion at the stated tolerance and prints one line
 with the measured quantities, so `pytest -v` reads as a pass/fail report.
-The compression-ladder fixture trains real models and dominates the runtime
-(about 7 minutes of training, spread over a small process pool); everything
-else finishes in seconds.
+The compression-ladder fixture trains real models through harness.run_experiments
+and dominates the runtime (about 5 minutes of runs summed on a 2-vCPU host, which
+the runner spreads over the CPUs); everything else finishes in seconds.
 """
 
 import hashlib
 import json
-import multiprocessing
-import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 import pytest
 
 from dqseq.checkpoint import load_checkpoint, save_checkpoint
 from dqseq.distiller import DistillConfig, init_student, select_layers, total_loss
-from dqseq.harness import RunManifest, run_experiment, write_table
+from dqseq.harness import RunManifest, run_experiment, run_experiments, write_table
 from dqseq.metrics import bart_base_param_specs, footprint, rouge_l
 from dqseq.model import ModelConfig, forward, init_model, param_specs
 from dqseq.quantizer import (
@@ -29,7 +26,7 @@ from dqseq.quantizer import (
     quantize,
     quantize_params,
 )
-from dqseq.tasks import PAD, TaskSpec, generate_task
+from dqseq.tasks import PAD, TaskSpec
 from dqseq.tensor import (
     Tape,
     Tensor,
@@ -45,13 +42,14 @@ from dqseq.tensor import (
     linear,
     matmul,
     mse,
-    mul,
     scale,
     straight_through,
-    sum_all,
     transpose,
 )
-from dqseq.trainer import TrainConfig, train
+from dqseq.trainer import TrainConfig
+
+from conftest import LADDER_MODEL, LADDER_TASK
+from tape_ops import mul, sum_all
 
 from oracles import (
     brute_force_lcs,
@@ -397,10 +395,6 @@ def test_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 # 6 and 7. trained compression ladder on the copy task
 
-LADDER_TASK = TaskSpec("copy", vocab_size=16, min_len=1, max_len=12,
-                       train_size=512, dev_size=64, test_size=64, seed=0)
-LADDER_MODEL = ModelConfig(vocab_size=16, d_model=64, n_heads=4, d_ff=256,
-                           n_enc_layers=2, n_dec_layers=2, max_positions=16)
 SEEDS = (0, 1, 2)
 TEACHER_EPOCHS = 60
 STUDENT_EPOCHS = 40
@@ -418,60 +412,33 @@ STUDENTS = {
 }
 
 
-def _best(meta) -> dict:
-    return meta.history[meta.best_epoch]
-
-
-def _teacher_job(seed: int):
-    """(teacher, its best record, its own seconds)."""
-    splits = generate_task(LADDER_TASK)
-    t0 = time.perf_counter()
-    teacher, meta = train(
-        None, TrainConfig("teacher", epochs=TEACHER_EPOCHS, learning_rate=LR, seed=seed),
-        splits, model_config=LADDER_MODEL,
-    )
-    return teacher, _best(meta), time.perf_counter() - t0
-
-
-def _student_job(name: str, seed: int, teacher):
-    """(the run's record, its own seconds): the best epoch's, or direct
-    quantization's only one."""
-    mode, qconfig, dconfig = STUDENTS[name]
-    direct = mode == "direct_quant"
-    tconfig = (TrainConfig(mode, seed=seed) if direct else
-               TrainConfig(mode, epochs=STUDENT_EPOCHS, learning_rate=LR, seed=seed))
-    splits = generate_task(LADDER_TASK)
-    t0 = time.perf_counter()
-    _, meta = train(teacher, tconfig, splits, qconfig=qconfig, dconfig=dconfig)
-    return (meta.history[0] if direct else _best(meta)), time.perf_counter() - t0
-
-
 @pytest.fixture(scope="module")
-def ladder():
-    """The ladder as a job graph: three teacher jobs, then each seed's five
-    student jobs, each given that seed's teacher pickled. The jobs run in
-    min(3, CPUs) spawned processes, each on one BLAS thread (conftest.py sets
-    it before numpy loads). Every job is seeded, so the records are those of
-    one process running them in turn, and the timings are each run's own."""
-    runs = {k: {} for k in ("teacher", *STUDENTS)}
-    secs = {k: {} for k in runs}
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(min(3, os.cpu_count() or 1), mp_context=spawn) as pool:
-        teachers = {pool.submit(_teacher_job, seed): seed for seed in SEEDS}
-        students = {}
-        for job in as_completed(teachers):
-            seed = teachers[job]
-            teacher, runs["teacher"][seed], secs["teacher"][seed] = job.result()
-            for name in STUDENTS:
-                students[pool.submit(_student_job, name, seed, teacher)] = name, seed
-        for job in as_completed(students):
-            name, seed = students[job]
-            runs[name][seed], secs[name][seed] = job.result()
-    out = {k: [by_seed[seed] for seed in SEEDS] for k, by_seed in runs.items()}
-    times = {k: [by_seed[seed] for seed in SEEDS] for k, by_seed in secs.items()}
-    out["teacher_secs"] = times["teacher"]
-    out["ladder_secs"] = sum(sum(times[k]) for k in ("teacher", "dq8", "dq2", "direct"))
-    out["pair_secs"] = sum(sum(times[k]) for k in ("dq21", "d11"))
+def ladder(tmp_path_factory):
+    """The ladder as one job graph for run_experiments: each seed's teacher,
+    and that seed's five students once the teacher's checkpoint is written.
+    Each run's record is its best epoch's (direct quantization's only one),
+    read back from the checkpoint it saved; its seconds are its wall_clock."""
+    root = tmp_path_factory.mktemp("ladder")
+    runs = {}
+    for seed in SEEDS:
+        teacher = str(root / f"teacher-{seed}.ckpt")
+        runs["teacher", seed] = RunManifest(
+            LADDER_TASK, TrainConfig("teacher", epochs=TEACHER_EPOCHS, learning_rate=LR, seed=seed),
+            model_config=LADDER_MODEL, out_path=teacher)
+        for name, (mode, qconfig, dconfig) in STUDENTS.items():
+            runs[name, seed] = RunManifest(
+                LADDER_TASK, TrainConfig(mode, epochs=STUDENT_EPOCHS, learning_rate=LR, seed=seed),
+                quant_config=qconfig, distill_config=dconfig, teacher_path=teacher,
+                out_path=str(root / f"{name}-{seed}.ckpt"))
+    run_experiments(list(runs.values()))
+    out, secs = {}, {}
+    for (name, _), m in runs.items():  # seed order within each name
+        meta = load_checkpoint(m.out_path)[1]
+        out.setdefault(name, []).append(meta.history[meta.best_epoch])
+        secs[name] = secs.get(name, 0.0) + m.wall_clock
+    out["teacher_secs"] = [runs["teacher", seed].wall_clock for seed in SEEDS]
+    out["ladder_secs"] = sum(secs[k] for k in ("teacher", "dq8", "dq2", "direct"))
+    out["pair_secs"] = secs["dq21"] + secs["d11"]
     return out
 
 

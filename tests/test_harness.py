@@ -1,6 +1,8 @@
 """Manifest round-trips, experiment orchestration, and table output."""
 
+import copy
 import json
+import multiprocessing
 import os
 import struct
 
@@ -10,7 +12,14 @@ import pytest
 from dqseq.checkpoint import load_checkpoint, load_model, save_checkpoint
 from dqseq.cli import main
 from dqseq.distiller import DistillConfig
-from dqseq.harness import TABLE_COLUMNS, HarnessError, RunManifest, run_experiment, write_table
+from dqseq.harness import (
+    TABLE_COLUMNS,
+    HarnessError,
+    RunManifest,
+    run_experiment,
+    run_experiments,
+    write_table,
+)
 from dqseq.metrics import footprint
 from dqseq.model import ModelConfig, param_specs
 from dqseq.quantizer import QuantConfig, QuantizedTensor, quantize_params
@@ -23,11 +32,13 @@ TINY_MODEL = ModelConfig(vocab_size=16, d_model=16, n_heads=2, d_ff=32,
                          n_enc_layers=2, n_dec_layers=2, max_positions=16)
 
 
-def teacher_manifest(out_path: str, epochs: int = 2) -> RunManifest:
+def teacher_manifest(out_path: str, epochs: int = 2, seed: int = 0,
+                     model_config: ModelConfig = TINY_MODEL) -> RunManifest:
     return RunManifest(
         task=TINY_TASK,
-        train_config=TrainConfig("teacher", epochs=epochs, batch_size=16, learning_rate=1e-3),
-        model_config=TINY_MODEL,
+        train_config=TrainConfig("teacher", epochs=epochs, batch_size=16, learning_rate=1e-3,
+                                 seed=seed),
+        model_config=model_config,
         out_path=out_path,
     )
 
@@ -257,3 +268,82 @@ def test_write_table_rejects_unrun_manifest(tmp_path):
     m = teacher_manifest("t.ckpt")
     with pytest.raises(HarnessError, match="no result"):
         write_table([m], str(tmp_path / "t.csv"))
+
+
+# ---------------------------------------------------------------------------
+# run_experiments: the job graph
+
+
+def _graph(root) -> list[RunManifest]:
+    """Two teachers and three students; a student is listed before its teacher."""
+    t0, t1 = str(root / "t0.ckpt"), str(root / "t1.ckpt")
+    return [
+        student_manifest(t0, "dq", QuantConfig(2, 2, 8), DistillConfig(2, 1),
+                         out_path=str(root / "dq.ckpt")),
+        teacher_manifest(t0),
+        teacher_manifest(t1, seed=1),
+        student_manifest(t1, "direct_quant", QuantConfig(2, 2, 8), None,
+                         out_path=str(root / "direct.ckpt")),
+        student_manifest(t1, "distill_only", None, DistillConfig(1, 1),
+                         out_path=str(root / "d11.ckpt")),
+    ]
+
+
+def test_runner_rows_and_files_equal_a_serial_loop(tmp_path):
+    manifests = _graph(tmp_path)
+    serial = copy.deepcopy(manifests)
+    for m in sorted(serial, key=lambda m: m.train_config.mode != "teacher"):
+        run_experiment(m)
+    saved = {m.out_path: open(m.out_path, "rb").read() for m in serial}
+    for path in saved:
+        os.remove(path)
+
+    logs = [str(tmp_path / f"{i}.log") for i in range(len(manifests))]
+    rows = run_experiments(manifests, logs)
+    assert rows == [m.result for m in serial]
+    assert rows == [m.result for m in manifests]
+    for m, log in zip(manifests, logs):
+        assert m.wall_clock > 0
+        assert open(m.out_path, "rb").read() == saved[m.out_path]
+        assert os.path.getsize(log) > 0
+    assert multiprocessing.active_children() == []
+
+
+def test_runner_fails_a_student_whose_teacher_file_is_absent(tmp_path, monkeypatch):
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    manifests = [teacher_manifest(str(tmp_path / "t.ckpt")),
+                 student_manifest(str(tmp_path / "absent.ckpt"), "dq",
+                                  QuantConfig(8, 8, 8), DistillConfig(2, 2))]
+    with pytest.raises(HarnessError, match=f"{manifests[1].content_hash()[:12]}.*not found"):
+        run_experiments(manifests)
+    assert multiprocessing.active_children() == []
+    assert "MKL_NUM_THREADS" not in os.environ  # the workers' BLAS setting is undone
+
+
+def test_runner_fails_a_failed_teacher_and_never_starts_its_students(tmp_path):
+    wrong_vocab = ModelConfig(vocab_size=20, d_model=16, n_heads=2, d_ff=32,
+                              n_enc_layers=2, n_dec_layers=2, max_positions=16)
+    bad = str(tmp_path / "bad.ckpt")
+    manifests = [teacher_manifest(bad, model_config=wrong_vocab),
+                 student_manifest(bad, "dq", QuantConfig(8, 8, 8), DistillConfig(2, 2)),
+                 teacher_manifest(str(tmp_path / "good.ckpt"))]
+    with pytest.raises(HarnessError, match=f"{manifests[0].content_hash()[:12]}.*vocab"):
+        run_experiments(manifests)
+    assert manifests[1].result == {} and not os.path.exists(bad)
+    assert multiprocessing.active_children() == []
+
+
+def test_runner_names_the_manifest_of_any_failure(tmp_path):
+    m = teacher_manifest(str(tmp_path / "no_such_dir" / "t.ckpt"), epochs=1)
+    with pytest.raises(HarnessError, match=f"manifest {m.content_hash()[:12]}: FileNotFoundError"):
+        run_experiments([m])
+    assert multiprocessing.active_children() == []
+
+
+def test_runner_refuses_a_shared_out_path_or_unmatched_logs(tmp_path):
+    path = str(tmp_path / "t.ckpt")
+    with pytest.raises(HarnessError, match="same out_path"):
+        run_experiments([teacher_manifest(path), teacher_manifest(path, seed=1)])
+    with pytest.raises(HarnessError, match="2 log paths for 1 manifests"):
+        run_experiments([teacher_manifest(path)], ["a.log", "b.log"])
+    assert not os.path.exists(path)

@@ -22,9 +22,10 @@ from dqseq.model import (
 from dqseq.metrics import footprint
 from dqseq.quantizer import QuantConfig, quantize_model
 from dqseq.tasks import BOS, EOS
-from dqseq.tensor import MASK_VALUE, ShapeError, Tape, backward, sum_all
+from dqseq.tensor import MASK_VALUE, ShapeError, Tape, backward
 
 import oracles
+from tape_ops import sum_all
 
 PAD = 0
 

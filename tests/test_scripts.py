@@ -1,6 +1,6 @@
 """The scripts under scripts/ run from a plain checkout, the probe the timing
-scripts share restores what it patches, and step_hashes.py's digests stay
-frozen."""
+scripts share restores what it patches, run_ladder.py writes every rung, and
+step_hashes.py's digests stay frozen."""
 
 import importlib.util
 import json
@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from dqseq import model
+from dqseq.harness import RunManifest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,6 +30,18 @@ def test_footprint_table_runs_from_a_plain_checkout():
     out = _run_script("scripts/footprint_table.py")
     rows = [line.split() for line in out.splitlines()]
     assert ["2-2-8", "6-3", "32.50", "MiB", "16.37x"] in rows  # README's 16.5x point
+
+
+def test_run_ladder_writes_every_rung(tmp_path):
+    _run_script("scripts/run_ladder.py", "--out-dir", str(tmp_path),
+                "--teacher-epochs", "1", "--student-epochs", "1")
+    lines = (tmp_path / "ladder.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5
+    rungs = sorted(p.stem for p in tmp_path.glob("*.json"))
+    assert rungs == ["direct-2-2-8", "dq-2-2-8", "dq-2-2-8-half-depth", "dq-8-8-8", "teacher"]
+    for rung in rungs:
+        assert RunManifest.load(str(tmp_path / f"{rung}.json")).result
+        assert (tmp_path / f"{rung}.log").stat().st_size > 0
 
 
 # each timing script at a tiny size, and a table its JSON must fill

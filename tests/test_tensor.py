@@ -29,12 +29,10 @@ from dqseq.tensor import (
     linear,
     matmul,
     mse,
-    mul,
     no_grad,
     scale,
     set_nan_checks,
     straight_through,
-    sum_all,
     transpose,
 )
 
@@ -45,6 +43,7 @@ from dqseq.tasks import BOS, EOS, PAD
 from dqseq.trainer import Adam, distillation_aware_step
 
 import oracles
+from tape_ops import mul, sum_all
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dqseq.distiller import DistillConfig, LayerMap
 from dqseq.model import ModelConfig, forward, init_model
 from dqseq.quantizer import QuantConfig, quantize, quantize_model
 from dqseq.tasks import PAD, TaskSpec, generate_task, seq2seq_batch
-from dqseq.tensor import Tape, Tensor, add, backward, mul, sum_all, straight_through
+from dqseq.tensor import Tape, Tensor, add, backward, straight_through
 from dqseq.trainer import (
     Adam,
     CheckpointMeta,
@@ -28,6 +28,8 @@ from dqseq.trainer import (
     lr_schedule,
     train,
 )
+
+from tape_ops import mul, sum_all
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_heads=2, d_ff=32,
                     n_enc_layers=1, n_dec_layers=1, max_positions=16)
@@ -373,6 +375,14 @@ def test_direct_quant_is_zero_step_copy_of_teacher():
     for k in teacher.params:
         np.testing.assert_array_equal(model.params[k].data, teacher.params[k].data)
         assert model.params[k].data is not teacher.params[k].data
+
+
+@pytest.mark.parametrize("mode", ["direct_quant", "dq"])
+def test_log_lines_are_the_history(tmp_path, mode):
+    log = tmp_path / f"{mode}.log"
+    _, meta = train(init_model(SMALL, seed=0), TrainConfig(mode=mode, epochs=1), small_splits(),
+                    qconfig=QuantConfig(2, 2, 8), dconfig=DistillConfig(1, 1), log_path=str(log))
+    assert [json.loads(line) for line in log.read_text().splitlines()] == meta.history
 
 
 # ---------------------------------------------------------------------------
