@@ -31,7 +31,7 @@ from .model import ModelConfig, SeqModel, param_specs
 from .quantizer import PACKED_BITS, QuantConfig, QuantizedTensor, pack_codes, packed_size
 from .quantizer import unpack_codes  # noqa: F401  unused here; bench/tracing.py wraps this name
 from .tensor import Tensor
-from .trainer import CheckpointMeta, TrainConfig, TrainError
+from .trainer import CONFIG_ERRORS, CheckpointMeta, TrainConfig
 
 MAGIC = b"DQS2"
 VERSION = 1
@@ -45,15 +45,7 @@ class CheckpointError(ValueError):
 
 
 def _config_block(meta: CheckpointMeta) -> bytes:
-    fields = {
-        "model_config": asdict(meta.model_config),
-        "quant_config": asdict(meta.quant_config),
-        "distill_config": None if meta.distill_config is None else asdict(meta.distill_config),
-        "train_config": asdict(meta.train_config),
-        "step": meta.step,
-        "history": meta.history,
-        "best_epoch": meta.best_epoch,
-    }
+    fields = asdict(meta)
     lines = [f"{k}={json.dumps(fields[k], sort_keys=True)}" for k in sorted(fields)]
     return "\n".join(lines).encode("utf-8")
 
@@ -75,7 +67,7 @@ def _parse_config_block(blob: bytes) -> CheckpointMeta:
             history=fields["history"],
             best_epoch=fields["best_epoch"],
         )
-    except (KeyError, TypeError, ValueError, TrainError) as exc:
+    except CONFIG_ERRORS as exc:
         raise CheckpointError(f"config block is missing or malformed: {exc}") from exc
 
 

@@ -13,13 +13,13 @@ import os
 import sys
 from dataclasses import asdict
 
-from .checkpoint import CheckpointError, load_model
+from .checkpoint import load_model
 from .distiller import DistillConfig
 from .harness import HarnessError, RunManifest, run_experiment, write_table
 from .metrics import bart_base_param_specs, footprint
 from .model import ModelConfig
-from .quantizer import PolicyError, QuantConfig
-from .tasks import KINDS, TaskError, TaskSpec, generate_task
+from .quantizer import QuantConfig
+from .tasks import KINDS, TaskSpec, generate_task
 from .trainer import MODES, TrainConfig, TrainError, evaluate
 
 
@@ -109,11 +109,16 @@ def _cmd_train_teacher(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    keeps_depth = args.mode in ("quant_only", "direct_quant")
+    if keeps_depth and (args.enc_layers is not None or args.dec_layers is not None):
+        print(f"error: --mode {args.mode} keeps the teacher's depth; "
+              "drop --enc-layers and --dec-layers", file=sys.stderr)
+        return 2
     if not os.path.exists(args.teacher):
         raise HarnessError(f"teacher checkpoint not found: {args.teacher}")
     teacher, _ = load_model(args.teacher)  # read once, handed to run_experiment
     tcfg = teacher.config
-    if args.mode in ("quant_only", "direct_quant"):
+    if keeps_depth:
         dconfig = None
     else:
         enc = tcfg.n_enc_layers if args.enc_layers is None else args.enc_layers
@@ -232,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage
@@ -245,8 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (TaskError, TrainError, HarnessError, CheckpointError, PolicyError,
-            ValueError, OSError) as exc:
+    except (TrainError, HarnessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

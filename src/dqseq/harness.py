@@ -23,7 +23,7 @@ from .metrics import footprint
 from .model import ModelConfig, SeqModel, param_specs
 from .quantizer import QuantConfig, quantize_params
 from .tasks import TaskError, TaskSpec, generate_task
-from .trainer import TrainConfig, TrainError, evaluate, train
+from .trainer import CONFIG_ERRORS, TrainConfig, TrainError, evaluate, train
 
 TABLE_COLUMNS = (
     "config", "mode", "seed", "size_mib", "ratio",
@@ -55,37 +55,26 @@ class RunManifest:
     wall_clock: float = 0.0
 
     def _inputs(self) -> dict:
-        opt = lambda c: None if c is None else asdict(c)
-        return {
-            "task": asdict(self.task),
-            "train_config": asdict(self.train_config),
-            "model_config": opt(self.model_config),
-            "quant_config": opt(self.quant_config),
-            "distill_config": opt(self.distill_config),
-            "teacher_path": self.teacher_path,
-            "out_path": self.out_path,
-        }
+        inputs = asdict(self)
+        del inputs["result"], inputs["wall_clock"]
+        return inputs
 
     def content_hash(self) -> str:
         blob = json.dumps(self._inputs(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def to_json(self) -> str:
-        payload = {
-            **self._inputs(),
-            "content_hash": self.content_hash(),
-            "result": self.result,
-            "wall_clock": self.wall_clock,
-        }
+        payload = {**asdict(self), "content_hash": self.content_hash()}
         return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise HarnessError(f"manifest is not a JSON object: {text[:40]!r}")
-        opt = lambda kind, key: None if raw[key] is None else kind(**raw[key])
+        """Parse a manifest; anything malformed raises HarnessError."""
         try:
+            raw = json.loads(text)
+            if not isinstance(raw, dict) or not isinstance(raw.get("result", {}), dict):
+                raise TypeError("the manifest and its result must be JSON objects")
+            opt = lambda kind, key: None if raw[key] is None else kind(**raw[key])
             manifest = cls(
                 task=TaskSpec(**raw["task"]),
                 train_config=TrainConfig(**raw["train_config"]),
@@ -97,7 +86,7 @@ class RunManifest:
                 result=raw.get("result", {}),
                 wall_clock=raw.get("wall_clock", 0.0),
             )
-        except (KeyError, TypeError) as exc:
+        except CONFIG_ERRORS as exc:
             raise HarnessError(f"manifest is missing or malformed: {exc!r}") from exc
         stored = raw.get("content_hash")
         if stored is not None and stored != manifest.content_hash():
@@ -118,8 +107,9 @@ def run_experiment(manifest: RunManifest, log_path: str | None = None,
                    teacher: SeqModel | None = None) -> dict:
     """Run one manifest end to end and fill in its result row.
 
-    Student modes load teacher_path first, so a missing file fails fast,
-    unless the caller passes the teacher it already loaded from there. The
+    A student manifest's teacher_path is loaded first, so a missing file fails
+    fast, unless the caller passes the teacher it already loaded from there;
+    train refuses a mode whose inputs are missing. The
     master is quantized once; the row scores that stored set and out_path
     receives it. The footprint ratio is against the teacher at 32 bits (1 for teachers).
     """
@@ -127,12 +117,7 @@ def run_experiment(manifest: RunManifest, log_path: str | None = None,
     tag = manifest.content_hash()[:12]
     start = time.perf_counter()
 
-    if mode == "teacher":
-        if manifest.model_config is None:
-            raise HarnessError(f"manifest {tag}: teacher runs need a model_config")
-    elif teacher is None:
-        if not manifest.teacher_path:
-            raise HarnessError(f"manifest {tag}: mode={mode} needs a teacher checkpoint")
+    if mode != "teacher" and teacher is None and manifest.teacher_path:
         if not os.path.exists(manifest.teacher_path):
             raise HarnessError(
                 f"manifest {tag}: teacher checkpoint not found: {manifest.teacher_path}"
@@ -268,6 +253,10 @@ def write_table(manifests: list[RunManifest], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(TABLE_COLUMNS)
         for m in manifests:
+            tag = m.content_hash()[:12]
             if not m.result:
-                raise HarnessError(f"manifest {m.content_hash()[:12]} has no result row")
-            writer.writerow([_cell(m.result[c]) for c in TABLE_COLUMNS])
+                raise HarnessError(f"manifest {tag} has no result row")
+            try:
+                writer.writerow([_cell(m.result[c]) for c in TABLE_COLUMNS])
+            except KeyError as exc:
+                raise HarnessError(f"manifest {tag}: result has no {exc} column") from exc

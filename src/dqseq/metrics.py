@@ -16,8 +16,8 @@ MIB = 1024 * 1024
 # ---------------------------------------------------------------------------
 # ROUGE
 
-# All scorers take token lists. Detokenized toy strings are whitespace-split
-# by the caller; no stemming or normalization happens here.
+# All scorers take token lists (the toy tasks score their token ids); no
+# stemming or normalization happens here.
 
 
 @dataclass(frozen=True)

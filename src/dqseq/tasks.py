@@ -138,8 +138,3 @@ def seq2seq_batch(
     labels = pad_batch([t for _, t in pairs])
     return src, dec_in, labels
 
-
-def detokenize(ids: list[int]) -> str:
-    """Whitespace-joined toy token strings, for ROUGE scoring."""
-    names = {PAD: "<pad>", BOS: "<bos>", EOS: "<eos>", UNK: "<unk>"}
-    return " ".join(names.get(i, str(i)) for i in ids)

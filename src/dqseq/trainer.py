@@ -17,7 +17,7 @@ from .distiller import DistillConfig, LayerMap, LossBreakdown, init_student, tot
 from .metrics import accuracy, rouge_scores
 from .model import ModelConfig, SeqModel, forward, greedy_decode_batch, init_model
 from .quantizer import QuantConfig, quantize_model
-from .tasks import BOS, EOS, PAD, Dataset, Splits, detokenize, seq2seq_batch
+from .tasks import BOS, EOS, PAD, Dataset, Splits, seq2seq_batch
 from .tensor import Tape, Tensor, backward, no_grad, set_nan_checks
 
 MODES = ("teacher", "dq", "quant_only", "distill_only", "sf", "direct_quant")
@@ -31,6 +31,10 @@ ADAM_EPS = 1e-8
 
 class TrainError(RuntimeError):
     """Inconsistent training request or aborted run."""
+
+
+# what rebuilding a config dataclass from stored JSON can raise
+CONFIG_ERRORS = (KeyError, TypeError, ValueError, TrainError)
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ def evaluate(
     token_acc, seq_acc = accuracy(preds, refs, PAD)
     r1 = r2 = rl = 0.0
     for p, r in zip(preds, refs):
-        s = rouge_scores(detokenize(p).split(), detokenize(r).split())
+        s = rouge_scores(p, r)
         r1, r2, rl = r1 + s.r1, r2 + s.r2, rl + s.rl
     n = len(preds)
     return EvalReport(token_acc, seq_acc, r1 / n, r2 / n, rl / n, n)

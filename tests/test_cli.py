@@ -146,6 +146,18 @@ def test_compress_reads_the_teacher_checkpoint_once(tmp_path, teacher_ckpt, caps
     assert reads.count(teacher_ckpt) == 1, reads
 
 
+@pytest.mark.parametrize("mode, flag", [("quant_only", "--enc-layers"),
+                                        ("direct_quant", "--dec-layers")])
+def test_compress_refuses_a_depth_for_a_mode_that_keeps_the_teachers(tmp_path, teacher_ckpt,
+                                                                     capsys, mode, flag):
+    out = tmp_path / "s.ckpt"
+    assert main(["compress", *TASK, *FAST, "--teacher", teacher_ckpt, "--mode", mode,
+                 flag, "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and mode in err and flag in err
+    assert not out.exists()
+
+
 def test_compress_missing_teacher_fails(tmp_path, capsys):
     rc = main(["compress", *TASK, *FAST, "--teacher", str(tmp_path / "nope.ckpt"),
                "--out", str(tmp_path / "s.ckpt")])

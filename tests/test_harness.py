@@ -1,6 +1,7 @@
 """Manifest round-trips, experiment orchestration, and table output."""
 
 import copy
+import hashlib
 import json
 import multiprocessing
 import os
@@ -101,6 +102,36 @@ def test_manifest_file_round_trip(tmp_path):
     assert RunManifest.load(path) == m
 
 
+def _frozen_student() -> RunManifest:
+    m = student_manifest("runs/teacher.ckpt", "dq", QuantConfig(2, 2, 8, row_wise=True),
+                         DistillConfig(2, 1), out_path="runs/dq.ckpt")
+    m.result = {"config": "2-2-8 2-1", "mode": "dq", "seed": 0, "size_mib": 0.125,
+                "ratio": 9.5, "token_acc": 0.75, "seq_acc": 0.5, "rouge_1": 0.8,
+                "rouge_2": 0.6, "rouge_l": 0.7}
+    m.wall_clock = 1.25
+    return m
+
+
+# content_hash() and sha256(to_json()) of manifests already on disk: the writer
+# must keep every stored manifest's content hash valid
+FROZEN_MANIFESTS = [
+    (lambda: teacher_manifest("runs/teacher.ckpt"),
+     "88dbf9cc20ef33e32351bdef2f84c9c268496815db13525f2b12ee17b04dc14b",
+     "fe9ccc56853d9246d58a02855768240975152a1babd2c12216edb7879f7fef73"),
+    (_frozen_student,
+     "3e2efc68e60a521a6ecafb0ad6b22bff0ad79f053efcb859ee8838867991cda6",
+     "8d72e84011d6c9615ef7c79a327c1c714038a3d40357382708b5274fc520e8f9"),
+]
+
+
+@pytest.mark.parametrize("make, content_hash, json_sha256", FROZEN_MANIFESTS,
+                         ids=["teacher", "dq-2-2-8-row-wise"])
+def test_manifest_record_is_frozen(make, content_hash, json_sha256):
+    m = make()
+    assert m.content_hash() == content_hash
+    assert hashlib.sha256(m.to_json().encode("utf-8")).hexdigest() == json_sha256
+
+
 def test_tampered_hash_is_rejected():
     m = teacher_manifest("t.ckpt")
     text = m.to_json().replace('"epochs": 2', '"epochs": 9')
@@ -108,22 +139,37 @@ def test_tampered_hash_is_rejected():
         RunManifest.from_json(text)
 
 
-def _with_unknown_task_field(text: str) -> str:
-    raw = json.loads(text)
-    raw["task"]["bogus"] = 1
-    return json.dumps(raw)
+def _set(*keys, value):
+    """An edit that sets one field of a manifest's JSON."""
+    def edit(text: str) -> str:
+        raw = json.loads(text)
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return json.dumps(raw)
+    return edit
 
 
 @pytest.mark.parametrize("edit", [
     lambda text: '{"task": {"kind": "copy"}}',
-    _with_unknown_task_field,
+    _set("task", "bogus", value=1),
     lambda text: "[1, 2]",
-], ids=["missing-keys", "unknown-task-field", "not-an-object"])
+    _set("train_config", "mode", value="nope"),
+    _set("quant_config", value={"w_bits": 3}),
+    _set("model_config", "n_heads", value=0),
+    _set("task", "kind", value="nope"),
+    lambda text: "not json",
+    _set("result", value=[1, 2]),
+    _set("result", value="abc"),
+    _set("result", value={"config": "x"}),
+], ids=["missing-keys", "unknown-task-field", "not-an-object", "mode", "w-bits", "n-heads",
+        "task-kind", "not-json", "result-list", "result-string", "result-missing-column"])
 def test_malformed_manifest_is_a_clean_error(tmp_path, capsys, edit):
     path = tmp_path / "bad.json"
     path.write_text(edit(teacher_manifest("t.ckpt").to_json()))
     with pytest.raises(HarnessError, match="manifest"):
-        RunManifest.load(str(path))
+        write_table([RunManifest.load(str(path))], str(tmp_path / "table.csv"))
     assert main(["table", str(path), "--out", str(tmp_path / "table.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: manifest")
 
@@ -140,6 +186,12 @@ def test_student_mode_requires_teacher_path():
     m = student_manifest("", "dq", QuantConfig(8, 8, 8), DistillConfig(2, 2))
     m.teacher_path = None
     with pytest.raises(HarnessError, match="teacher"):
+        run_experiment(m)
+
+
+def test_teacher_mode_requires_model_config():
+    m = teacher_manifest(None, model_config=None)
+    with pytest.raises(HarnessError, match=f"manifest {m.content_hash()[:12]}: .*model_config"):
         run_experiment(m)
 
 

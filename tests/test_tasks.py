@@ -10,7 +10,6 @@ from dqseq.tasks import (
     Dataset,
     TaskError,
     TaskSpec,
-    detokenize,
     generate_task,
     pad_batch,
     seq2seq_batch,
@@ -111,11 +110,6 @@ def test_seq2seq_batch_shift():
     assert src.tolist() == [[5, 7], [6, PAD]]
     assert dec_in.tolist() == [[BOS, 5, 7], [BOS, 6, PAD]]
     assert labels.tolist() == [[5, 7, EOS], [6, EOS, PAD]]
-
-
-def test_detokenize():
-    assert detokenize([5, 7, 9]) == "5 7 9"
-    assert detokenize([BOS, 5, EOS]) == "<bos> 5 <eos>"
 
 
 def test_dataset_len():
