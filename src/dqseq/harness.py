@@ -3,8 +3,8 @@
 A manifest pins every input of one experiment (task, training mode, student
 shape, bit widths) plus a content hash over those inputs, so a rerun of the
 same manifest is detectable and, single-threaded, reproduces the same row.
-run_experiments runs a list of them as a job graph: teachers first, each
-student once its teacher's checkpoint is written, in parallel processes.
+run_experiments runs a list of them as a job graph: each student once its
+teacher's checkpoint is written, in parallel processes.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ class RunManifest:
         return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        """Parse a manifest; anything malformed raises HarnessError."""
+    def from_json(cls, text: str, name: str = "manifest") -> "RunManifest":
+        """Parse a manifest; anything malformed raises HarnessError, whose
+        message starts with name."""
         try:
             raw = json.loads(text)
             if not isinstance(raw, dict) or not isinstance(raw.get("result", {}), dict):
@@ -87,10 +88,10 @@ class RunManifest:
                 wall_clock=raw.get("wall_clock", 0.0),
             )
         except CONFIG_ERRORS as exc:
-            raise HarnessError(f"manifest is missing or malformed: {exc!r}") from exc
+            raise HarnessError(f"{name} is missing or malformed: {exc!r}") from exc
         stored = raw.get("content_hash")
         if stored is not None and stored != manifest.content_hash():
-            raise HarnessError("manifest content hash does not match its inputs")
+            raise HarnessError(f"{name} content hash does not match its inputs")
         return manifest
 
     def save(self, path: str) -> None:
@@ -100,7 +101,7 @@ class RunManifest:
     @classmethod
     def load(cls, path: str) -> "RunManifest":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            return cls.from_json(fh.read(), f"manifest {path}")
 
 
 def run_experiment(manifest: RunManifest, log_path: str | None = None,
@@ -187,14 +188,15 @@ def run_experiments(manifests: list[RunManifest],
                     log_paths: list[str | None] | None = None) -> list[dict]:
     """Run every manifest through run_experiment; return the rows in order.
 
-    A student whose teacher_path is the out_path of a teacher manifest in the
-    list starts once that teacher has run and written it; every other job
-    starts at once. At most os.cpu_count() jobs run at a time, each in a
-    spawned process on one BLAS thread. Each manifest's result and wall_clock
-    are filled in here, in the caller's process. Every job is seeded, so the
-    rows and files are those of a serial loop. The first failed job raises
-    HarnessError once the jobs already running have finished; no job starts
-    after it.
+    A student whose teacher_path is the out_path of another manifest in the
+    list starts once that one has run and written it, so a chain teacher ->
+    assistant -> student runs in order; every other job starts at once. A
+    chain that runs into a cycle raises HarnessError before any job starts.
+    At most os.cpu_count() jobs run at a time, each in a spawned process on
+    one BLAS thread. Each manifest's result and wall_clock are filled in
+    here, in the caller's process. Every job is seeded, so the rows and files
+    are those of a serial loop. The first failed job raises HarnessError once
+    the jobs already running have finished; no job starts after it.
     """
     logs = log_paths or [None] * len(manifests)
     if len(logs) != len(manifests):
@@ -202,15 +204,21 @@ def run_experiments(manifests: list[RunManifest],
     outs = [m.out_path for m in manifests if m.out_path]
     if len(set(outs)) != len(outs):
         raise HarnessError("two manifests write the same out_path")
-    teachers = {m.out_path: i for i, m in enumerate(manifests)
-                if m.train_config.mode == "teacher" and m.out_path}
+    producers = {m.out_path: i for i, m in enumerate(manifests) if m.out_path}
     ready, students = [], {}
     for i, m in enumerate(manifests):
-        parent = teachers.get(m.teacher_path) if m.train_config.mode != "teacher" else None
+        parent = producers.get(m.teacher_path) if m.train_config.mode != "teacher" else None
         if parent is None:
             ready.append(i)
         else:
             students.setdefault(parent, []).append(i)
+    reached = list(ready)
+    for i in reached:  # grows as it goes: every job the graph will ever start
+        reached += students.get(i, [])
+    if len(reached) < len(manifests):
+        stuck = min(set(range(len(manifests))) - set(reached))
+        raise HarnessError(f"manifest {manifests[stuck].content_hash()[:12]}: its teacher_path "
+                           "chain runs into a cycle of out_paths")
 
     # deferred: multiprocessing and its imports cost about 1.4 MB of peak RSS,
     # which training, decoding and single runs do not pay
@@ -248,15 +256,16 @@ def _cell(value) -> str:
 
 
 def write_table(manifests: list[RunManifest], path: str) -> None:
-    """Merge result rows into one CSV: fixed header, one row per manifest."""
+    """Merge result rows into one CSV: fixed header, one row per manifest.
+    Every row is checked before path is opened, so a bad one leaves no file."""
+    rows = []
+    for m in manifests:
+        tag = m.content_hash()[:12]
+        if not m.result:
+            raise HarnessError(f"manifest {tag} has no result row")
+        try:
+            rows.append([_cell(m.result[c]) for c in TABLE_COLUMNS])
+        except KeyError as exc:
+            raise HarnessError(f"manifest {tag}: result has no {exc} column") from exc
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE_COLUMNS)
-        for m in manifests:
-            tag = m.content_hash()[:12]
-            if not m.result:
-                raise HarnessError(f"manifest {tag} has no result row")
-            try:
-                writer.writerow([_cell(m.result[c]) for c in TABLE_COLUMNS])
-            except KeyError as exc:
-                raise HarnessError(f"manifest {tag}: result has no {exc} column") from exc
+        csv.writer(fh).writerows([TABLE_COLUMNS, *rows])

@@ -256,6 +256,12 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
     attention_context read; backward merges the heads' gradients first. The
     node keeps x only for w's gradient and w only for x's, each as its
     quantized link when it has one (Tensor.quant), else as the float array.
+
+    Backward takes x's gradient as one 2-D GEMM over the flattened rows, whose
+    bits do not depend on how the rows group into B and L. The forward keeps
+    one product per batch row: a 2-D GEMM rounds an M = 1 product differently
+    (OpenBLAS hands it to gemv), so a decoded row's logits would change when
+    the other rows of its batch finish.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
     X, W = x.data, w.data
@@ -274,8 +280,10 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
     def bwd(g):
         if n_heads:
             g = g.transpose(merge).reshape(out_shape)
-        g2 = g.reshape(-1, g.shape[-1])
-        gx = g @ _restored(w_kept, w_shape).T if need_x else None
+        # rows in C order: one B = 1 keys gradient merges into a column-major view,
+        # which BLAS would multiply with another kernel and round differently
+        g2 = np.ascontiguousarray(g.reshape(-1, g.shape[-1]))
+        gx = (g2 @ _restored(w_kept, w_shape).T).reshape(x_shape) if need_x else None
         gw = _restored(x_kept, x_shape).reshape(-1, x_shape[-1]).T @ g2 if need_w else None
         return gx, gw, (g2.sum(axis=0) if need_b else None)
 

@@ -8,9 +8,10 @@ from dqseq import checkpoint
 from dqseq.checkpoint import load_checkpoint, load_model
 from dqseq.cli import main
 from dqseq.harness import TABLE_COLUMNS, RunManifest
+from dqseq.model import ModelConfig
 from dqseq.quantizer import QuantConfig
 from dqseq.tasks import TaskSpec, generate_task
-from dqseq.trainer import evaluate
+from dqseq.trainer import TrainConfig, evaluate
 
 TASK = ["--task", "copy", "--vocab-size", "16", "--max-len", "6",
         "--train-size", "48", "--dev-size", "8", "--test-size", "8"]
@@ -182,3 +183,30 @@ def test_table_merges_manifests(tmp_path, teacher_ckpt, capsys):
     assert len(lines) == 3
     assert lines[1].startswith("8-8-8 2-2,direct_quant")
     assert lines[2].startswith("2-2-8 2-2,direct_quant")
+
+
+def _manifest_file(path, result) -> str:
+    RunManifest(task=TaskSpec("copy", vocab_size=16, max_len=6),
+                train_config=TrainConfig("teacher"),
+                model_config=ModelConfig(vocab_size=16), result=result).save(str(path))
+    return str(path)
+
+
+def test_failed_table_leaves_no_file_and_keeps_an_old_one(tmp_path, capsys):
+    # every row is checked before the CSV is opened, so the good first row is never written
+    good = _manifest_file(tmp_path / "good.json", dict.fromkeys(TABLE_COLUMNS, 1))
+    bad = _manifest_file(tmp_path / "bad.json", {"config": "x"})
+    out = tmp_path / "table.csv"
+    assert main(["table", good, bad, "--out", str(out)]) == 1
+    assert "no 'mode' column" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_text("old table\n")
+    assert main(["table", good, bad, "--out", str(out)]) == 1
+    assert out.read_text() == "old table\n"
+
+
+def test_table_names_the_manifest_file_it_cannot_read(tmp_path, capsys):
+    path = tmp_path / "notjson.json"
+    path.write_text("not json")
+    assert main(["table", str(path), "--out", str(tmp_path / "table.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: manifest {path} is missing or malformed")

@@ -399,3 +399,37 @@ def test_runner_refuses_a_shared_out_path_or_unmatched_logs(tmp_path):
     with pytest.raises(HarnessError, match="2 log paths for 1 manifests"):
         run_experiments([teacher_manifest(path)], ["a.log", "b.log"])
     assert not os.path.exists(path)
+
+
+def test_runner_runs_a_teacher_assistant_chain_in_order(tmp_path):
+    # teacher -> 2-2 student -> 2-1 student distilled from that student, listed last first
+    t, ta = str(tmp_path / "t.ckpt"), str(tmp_path / "ta.ckpt")
+    chain = [teacher_manifest(t),
+             student_manifest(t, "dq", QuantConfig(2, 2, 8), DistillConfig(2, 2), out_path=ta),
+             student_manifest(ta, "dq", QuantConfig(2, 2, 8), DistillConfig(2, 1),
+                              out_path=str(tmp_path / "s.ckpt"))]
+    serial = copy.deepcopy(chain)
+    for m in serial:
+        run_experiment(m)
+    saved = {m.out_path: open(m.out_path, "rb").read() for m in serial}
+    for path in saved:
+        os.remove(path)
+
+    manifests = chain[::-1]
+    assert run_experiments(manifests) == [m.result for m in serial[::-1]]
+    for m in manifests:
+        assert open(m.out_path, "rb").read() == saved[m.out_path]
+    assert multiprocessing.active_children() == []
+
+
+def test_runner_refuses_a_teacher_path_cycle_before_any_job_starts(tmp_path):
+    a, b, t = (str(tmp_path / f"{name}.ckpt") for name in "abt")
+    student = lambda src, out: student_manifest(src, "dq", QuantConfig(8, 8, 8),
+                                                DistillConfig(2, 2), out_path=out)
+    for cycle in ([student(a, a)], [student(b, a), student(a, b)]):
+        manifests = [teacher_manifest(t), *cycle]
+        with pytest.raises(HarnessError,
+                           match=f"manifest {cycle[0].content_hash()[:12]}: .* cycle"):
+            run_experiments(manifests)
+        assert [m.result for m in manifests] == [{}] * len(manifests)
+        assert not os.path.exists(t)

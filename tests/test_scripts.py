@@ -86,46 +86,46 @@ def test_probe_reports_a_missing_name_and_restores_every_patch_on_an_exception(m
 # bytes and loaded weights of a fixed run at the acceptance ladder's shape
 FROZEN_STEP_HASHES = {
     "dq 2-2-8/dropout=0.0": {
-        "checkpoint": "442137140ecef18836bb0786458f92df4b6d768d9782df769a23e66a79a0378c",
-        "decode": "09af3be0e88f07181d95a8dd8e46be2ece28275ef78fa1be1a1e6f24ab6b00df",
-        "load": "cb1daceb0cb5d608804d24f021851e86aae3cdb22118710a72df69bde8c7b5b5",
-        "losses": "26e618a33debd67355d5066812dde112f44d0acafc01b5d34a82f91c831d20dc",
-        "params": "aa9681efcbfeb5ff5d6aa65a636b0a79e3ca5f9ee322b03391f6316e86d8b452",
+        "checkpoint": "502c40c73516c863538ebab1ccf15164be16fc9d672a78acbd9d0d0bafc9af1e",
+        "decode": "56af85e8fb7916a6c8f2196246093171701636d945a3662ea52e39b8b6a6200b",
+        "load": "b0339e03700d6df17eea493b957a17d598d0c19dc3208114cd6c4b4ae62814c5",
+        "losses": "c0785f5d376cada8b5a9def6f1deb75287a155043b32e087ad2ddc2811e70255",
+        "params": "e75148758cdc41b7cd477ead0f2543713df47b4635049963bfb37599a992dd2d",
     },
     "dq 2-2-8/dropout=0.1": {
-        "checkpoint": "1f8a8d08b8a4afc78ae153dac2c201979a45b7fc8dd3d4eeeac252dee9afaf41",
-        "decode": "a41db33d3dafe88dbd724d2bdd1eeab89daad00494482e1f85034fd537a20613",
-        "load": "9ec190bbd913c63304a0b47c9462af1546cd8f35aef3d4702e30274ac3213789",
-        "losses": "02b408e8daebb01547c08333726ec51e3833f380efad5dc3d3d3f07ecb46d2ac",
-        "params": "6ebda1b51d8638dca224ad5759e505ce400bb71b85c2261a23ca7e02ecedd692",
+        "checkpoint": "f2f494326faaf587e6343419d21c258b94fcc19a61952c664bdb3dc5e20458c9",
+        "decode": "9b450b7b3ca0c6106095dde34d06ccf7545856439c5a267867903a4cb77ec641",
+        "load": "b0afaad485a32bf458946e42ddd4d4259681422706d8aa95de7169b8543b63a9",
+        "losses": "1c3ee1570c84529c8aa2d3cc95b4ba8ceb4423a6efb7c4677ba73a8dbf23cc24",
+        "params": "c8e9a4f0ced22940574d45203e8797d9b8ed74b51dfc63af78bf4fc1722ff609",
     },
     "dq 8-8-8/dropout=0.0": {
-        "checkpoint": "3e684904b799209949e7b8dc2842fb65a72592b46a4756434e90fa92590f34c7",
+        "checkpoint": "d2343959b82693e6f5cce8a6b53bd5ce9a18278d4fc3b3c68d66c3ae9eee753c",
         "decode": "6f84ddd8e60eb21359b14ab361bbdea0633fbef821520b04a0fe23ff3c612ca9",
-        "load": "a162d1559ae188302cb815c9c55d7658c32455728e6f9f0c6bc187ea0264c2c2",
-        "losses": "fc64af81ba395816fafa90ceedb26781454f78a23954896e8c33add13f200182",
-        "params": "0c82468a7e68966c40794ec575e88ff06d52af028d9662dc68593206758ac18e",
+        "load": "5b6079ea84b01d136562d0acd4abe8e3850fedb9193da2d44ab487c59cb9025a",
+        "losses": "891c3fdb00f7d0d2be7af5931b68ee82358c177ad622f2dfee0e5963306186df",
+        "params": "33f6f43de7e29ebcd95b88a579b18b121633e49a942bd19f8d4e155cf7d48d44",
     },
     "dq 8-8-8/dropout=0.1": {
-        "checkpoint": "8b309a409d783a80b52b3ba6c2795df948d90151143651e0b6ecde2370c68eff",
-        "decode": "0cf814049187345c07f2e8fb9eab77e3f871a7db30f4fc0a937fba8028d5e1a4",
-        "load": "09fec14d1e13876762b9c43e7677c6c721d67e83bd41a2ee172ea49c7d57eaab",
-        "losses": "299af83a13e03cced3a0496845833597bb58651e0bb2a75273e2d2ed68c0ea56",
-        "params": "30731dae54c6bd4b4e27fc5a447c90d9effa61a3f1c592d157e49ad4bd2d477c",
+        "checkpoint": "73a22a8d419f12dbe7d59094de81f32ba58a0cba6f2fe18b21bd6765d2885ab3",
+        "decode": "4c190bc7f5c34110f91798891bc810c5f91d06a25087f6e63bcf3020735fb850",
+        "load": "c25580a4d6243bf1c16111005cc1a4b9f9c9f6048f542089d49cee543a8f3ad8",
+        "losses": "95b58138480fca7e0f931795b74a768717418fd1ba96fc474031345ec36b4218",
+        "params": "4869ec91bdbc4299a668cb3364e40e5e8f5f4ad492fc5423c758cd57385a1296",
     },
     "teacher/dropout=0.0": {
-        "checkpoint": "5eb3d4788a89374fdf07190a2479310f5bc51777fbb802ee08ea4e925169ad2b",
+        "checkpoint": "84243b0f694f5c69e3ee9aa639ecf3ec811be21c6f91291ee96b989398f3ea8a",
         "decode": "8b2b12edbef2472a0f3c303c0a91ef0149e087282871201c53f96973c22b5155",
-        "load": "83dfced427a8a218818ccee21d823ba5b09d68eda2f30f12ecc90952fe0a61a9",
-        "losses": "8cf5dc91e85173c94e25c667db1aaeafb3ee56e5d47f902dbc3550b25da57f8b",
-        "params": "83dfced427a8a218818ccee21d823ba5b09d68eda2f30f12ecc90952fe0a61a9",
+        "load": "8983b3b5fa76455970e25356fe6c398a527312d2a732a500ec1d475c03ebe4bb",
+        "losses": "d112995a7f5b8c790b8c7846951b3213cada1ce733bddf6fd5cd2c34971bd656",
+        "params": "8983b3b5fa76455970e25356fe6c398a527312d2a732a500ec1d475c03ebe4bb",
     },
     "teacher/dropout=0.1": {
-        "checkpoint": "c3b24f887b42694cd8bfa355dfa9db5b8456672bff1d4f2ac1625ce841d4acdf",
+        "checkpoint": "aff747962c33cc50bb3f35bae8665a627605e8682b348bd5da4d4f25f8d3a269",
         "decode": "f11a73ef6865b1ffc7837b4ce6e94859557c4bf942245ebc387b8332944e1b54",
-        "load": "6f1650acf6fb39d54e29dcbc1b9e7e6e1915f7968fc627f0c8dce89ea5ca8244",
-        "losses": "dc2aa0cecd0f89c63346085c9277930446d7427d9cbcc2377c403207d3857a20",
-        "params": "6f1650acf6fb39d54e29dcbc1b9e7e6e1915f7968fc627f0c8dce89ea5ca8244",
+        "load": "2ee3770f405a08bdfd4cb492ac042a1128766eb9d0012631b879933ef8d8c6b5",
+        "losses": "4505881940952b716671571d99f80cd6d7c9326331b54c934260eda8e3b2bd43",
+        "params": "2ee3770f405a08bdfd4cb492ac042a1128766eb9d0012631b879933ef8d8c6b5",
     },
 }
 

@@ -136,6 +136,31 @@ def test_bias_free_linear_keeps_a_negative_zero_product():
     assert not np.signbit(linear(Tensor(x), Tensor(w), np.zeros(5, np.float32)).data).any()
 
 
+# the ladder's weights: attention [d, d], ffn.w1 [d, d_ff], ffn.w2 [d_ff, d], the tied
+# projection [d, vocab]; the attention linears also as 4-head queries and keys
+@pytest.mark.parametrize("k,n,n_heads,keys", [
+    (64, 64, 0, False), (64, 256, 0, False), (256, 64, 0, False), (64, 16, 0, False),
+    (64, 64, 4, False), (64, 64, 4, True),
+], ids=["attn", "ffn-w1", "ffn-w2", "tied", "query-heads", "key-heads"])
+def test_linear_input_grad_is_one_2d_product(k, n, n_heads, keys):
+    # backward computes x's gradient as one GEMM over the flattened rows, whose
+    # bits do not depend on how the rows are grouped into B and L
+    rng = np.random.default_rng(23)
+    w = rand(rng, k, n)
+    for B in (1, 2, 7, 32):
+        for L in (1, 13):
+            x, g = Tensor(rand(rng, B, L, k), requires_grad=True), rand(rng, B, L, n)
+            seed = g if not n_heads else g.reshape(B, L, n_heads, -1).transpose(
+                (0, 2, 3, 1) if keys else (0, 2, 1, 3))
+            with Tape():
+                backward(sum_all(mul(linear(x, Tensor(w), None, n_heads, keys), Tensor(seed))))
+            want = (g.reshape(-1, n) @ w.T).reshape(x.shape)
+            assert x.grad.tobytes() == want.tobytes(), (B, L)
+            # float32 sums over k <= 256 read at most 1.2e-6 of max|gx| at these shapes
+            ref = oracles.ref_linear(g.astype(np.float64), w.astype(np.float64).T, 0.0)
+            assert np.abs(x.grad - ref).max() <= 2e-6 * np.abs(ref).max(), (B, L)
+
+
 def heads(x, n_heads, keys=False):
     """[B, L, D] queries, keys or values in the per-head layout the attention ops read,
     made on the tape as the model makes them: by linear, here with an
@@ -572,7 +597,7 @@ def test_ladder_dq_step_heap_peak_and_leaf_grads(ladder_dq_inputs):
         digest.update(name.encode())
         digest.update(t.grad.tobytes())
     # the third step's gradients, as the engine that kept every node's output produced them
-    assert digest.hexdigest() == "ca7da612158708bfc521584df8731629dee45deca4131954d24a58c29dab420f"
+    assert digest.hexdigest() == "faa4965c760e1bdb11f15ef5e8205c9a623df63c1f65c7f7fd11aef7dd7f2732"
 
 
 def test_ladder_teacher_step_heap_peak(ladder_dq_inputs):
