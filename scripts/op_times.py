@@ -19,9 +19,11 @@ the trainer's phases (``quantize_model``, the student's and the teacher's
 ``Adam.update``) and ``tensor._record``, whose wrapper times each node's
 backward closure under its op's name. An op's self time leaves out the
 wrapped calls made inside it (``straight_through`` inside
-``quantize_activation``). Times are ms per step and calls are per step. The
-last line of stdout is one JSON object; its ``missing`` lists the names the
-probe did not find.
+``quantize_activation``). Times are ms per step and calls are per step.
+Each kind's ``real_fraction`` is the share of its steps' source and decoder
+positions that are not padding: the rows the position-wise ops run on,
+over the rows of the padded batches. The last line of stdout is one JSON
+object; its ``missing`` lists the names the probe did not find.
 """
 
 import argparse
@@ -39,15 +41,19 @@ import workloads
 from dqseq import distiller, model, quantizer, tensor, trainer
 from dqseq.distiller import DistillConfig, init_student
 from dqseq.model import init_model
-from dqseq.tasks import generate_task
+from dqseq.tasks import PAD, generate_task
 
 
-def stepper(student, teacher, lmap, batches, rng, size):
-    """One kind of training step, as the benchmark's ladder-train takes it."""
+def stepper(student, teacher, lmap, batches, rng, size, positions):
+    """One kind of training step, as the benchmark's ladder-train takes it. Each
+    step adds its batch's [real, padded] source and decoder positions to positions."""
     optimizer, step_no = trainer.Adam(student.params), itertools.count()
 
     def step() -> None:
         batch, i = batches.next(), next(step_no)
+        for side, ids in zip(("src", "dec"), batch[:2]):
+            positions[side][0] += int(np.count_nonzero(ids != PAD))
+            positions[side][1] += ids.size
         if teacher is None:
             workloads._teacher_step(student, batch, optimizer, i, size.horizon, size, rng)
         else:
@@ -80,9 +86,11 @@ def install(probe: Probe, teacher) -> None:
     probe.patch(trainer, "forward", split_forward)
 
 
-def measure(step, teacher, warmup: int, steps: int, missing: set) -> dict:
+def measure(step, positions, teacher, warmup: int, steps: int, missing: set) -> dict:
     for _ in range(warmup):
         step()
+    for counts in positions.values():
+        counts[:] = [0, 0]
     ms, faults, sys_ms = [], [], []
     for _ in range(steps):
         r0, t0 = resource.getrusage(resource.RUSAGE_SELF), now()
@@ -106,6 +114,8 @@ def measure(step, teacher, warmup: int, steps: int, missing: set) -> dict:
             "system_ms_mean": round(statistics.fmean(sys_ms), 3),
         },
         "timed_step_ms_mean": round((now() - t0) / 1e6 / steps, 3),
+        "real_fraction": {side: round(real / padded, 4) for side, (real, padded) in
+                          positions.items()},
         "phase": probe.table("phase", steps),
         "forward": probe.table("forward", steps),
         "backward": probe.table("backward", steps),
@@ -118,6 +128,8 @@ def _print(kind: str, res: dict, steps: int) -> None:
           f"{p['step_ms_median']} ms; minor faults per step median {p['minor_faults_median']}"
           f" (mean {p['minor_faults_mean']}); system {p['system_ms_mean']} ms per step; "
           f"{res['timed_step_ms_mean']} ms per step with timers")
+    print("  real positions (packed rows / padded rows): " + ", ".join(
+        f"{side} {frac:.3f}" for side, frac in res["real_fraction"].items()))
     print(f"  {'phase':<30}{'ms':>9}")
     for name, row in res["phase"].items():
         print(f"  {name:<30}{row['ms']:>9.3f}")
@@ -141,15 +153,16 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     missing = set()
     teacher = init_model(size.ladder, args.seed)
+    positions = {"src": [0, 0], "dec": [0, 0]}
     teacher_step = stepper(teacher, None, None, workloads.Batches(splits.train, size.batch, rng),
-                           rng, size)
-    result = {"teacher": measure(teacher_step, None, args.warmup, args.steps, missing)}
+                           rng, size, positions)
+    result = {"teacher": measure(teacher_step, positions, None, args.warmup, args.steps, missing)}
     workloads._freeze(teacher)
     cfg = size.ladder
     student, lmap = init_student(teacher, DistillConfig(cfg.n_enc_layers, cfg.n_dec_layers))
     dq_step = stepper(student, teacher, lmap, workloads.Batches(splits.train, size.batch, rng),
-                      rng, size)
-    result["dq 2-2-8"] = measure(dq_step, teacher, args.warmup, args.steps, missing)
+                      rng, size, positions)
+    result["dq 2-2-8"] = measure(dq_step, positions, teacher, args.warmup, args.steps, missing)
     for kind, res in result.items():
         _print(kind, res, args.steps)
     result["missing"] = sorted(missing)

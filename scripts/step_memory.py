@@ -19,7 +19,10 @@ allocation's stack, else the innermost dqseq function. Only allocation
 sites that grew since the resting heap count, so the previous step's
 gradients, which the step frees first, are left out. It wraps
 ``trainer.backward`` through the probe. The last line of stdout is one JSON
-object; its ``missing`` lists the names the probe did not find.
+object in whole kB (1,000 bytes), rounded: two runs of one tree differ by
+some hundred bytes (104 in ``quantize``, up to 312 in a dq figure), so
+compare two trees' figures within 1 kB. Its ``missing`` lists the names
+the probe did not find.
 """
 
 import argparse
@@ -85,6 +88,10 @@ def op_of(traceback) -> str:
     return fallback or "outside dqseq"
 
 
+def kb(nbytes: int) -> int:
+    return round(nbytes / 1000)
+
+
 def measure(step, warmup: int, missing: set) -> dict:
     for _ in range(warmup):
         step()
@@ -111,11 +118,12 @@ def measure(step, warmup: int, missing: set) -> dict:
     for diff in seen["snapshot"].compare_to(base, "traceback") if seen else ():
         if diff.size_diff > 0:
             by_op[op_of(diff.traceback)] += diff.size_diff
+    held = {op: kb(n) for op, n in sorted(by_op.items(), key=lambda kv: -kv[1]) if kb(n)}
     return {
-        "heap_peak_bytes": peak,
-        "growth_before_backward_bytes": seen.get("current", rest) - rest,
-        "held_before_backward_bytes": sum(by_op.values()),
-        "held_by_op_bytes": dict(sorted(by_op.items(), key=lambda kv: -kv[1])),
+        "heap_peak_kb": kb(peak),
+        "growth_before_backward_kb": kb(seen.get("current", rest) - rest),
+        "held_before_backward_kb": kb(sum(by_op.values())),
+        "held_by_op_kb": held,
     }
 
 
@@ -145,13 +153,12 @@ def main() -> int:
         missing)
 
     for kind, res in result.items():
-        print(f"\n{kind}: heap peak {res['heap_peak_bytes'] / 1e6:.3f} MB; at backward, "
-              f"{res['held_before_backward_bytes'] / 1e6:.3f} MB held by the step, heap "
-              f"{res['growth_before_backward_bytes'] / 1e6:.3f} MB above rest")
+        print(f"\n{kind}: heap peak {res['heap_peak_kb'] / 1e3:.3f} MB; at backward, "
+              f"{res['held_before_backward_kb'] / 1e3:.3f} MB held by the step, heap "
+              f"{res['growth_before_backward_kb'] / 1e3:.3f} MB above rest")
         print(f"  {'op':<34}{'MB held':>9}")
-        for op, nbytes in res["held_by_op_bytes"].items():
-            if nbytes >= 1000:
-                print(f"  {op:<34}{nbytes / 1e6:>9.3f}")
+        for op, n in res["held_by_op_kb"].items():
+            print(f"  {op:<34}{n / 1e3:>9.3f}")
     result["missing"] = sorted(missing)
     print(json.dumps(result, sort_keys=True))
     return 0

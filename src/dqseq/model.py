@@ -3,13 +3,19 @@
 The forward pass returns a trace of everything the distillation losses
 consume: logits, per-layer pre-softmax attention scores (encoder self,
 decoder self, cross) and per-layer hidden states, plus the validity masks
-that say which positions are real. The token embedding table is shared by
-the encoder input, decoder input, and output projection. Queries, keys and
-values are split into heads once, where linear makes them. Greedy decoding
-encodes the sources once and then runs the decoder one position at a time
-over the rows that have not yet emitted EOS. One DecodeState carries those
-rows and each layer's per-head self-attention keys and values, which start
-at zero positions.
+that say which positions are real. Between the attention blocks the
+residual stream is packed: one [N, D] row per real position of the batch,
+so embeddings, layer norms, activation quantization, linears and GELU
+never touch padding. Only attention sees the padded [B, L] layout: linear
+writes the real rows' queries, keys and values into zero-filled per-head
+arrays, and attention_context returns the real rows alone. The trace lays
+the hidden states and logits out padded again, with zeros at padding. The
+token embedding table is shared by the encoder input, decoder input, and
+output projection. Greedy decoding encodes the sources once and then runs
+the decoder one position at a time over the rows that have not yet emitted
+EOS, in the padded layout, where every position is real. One DecodeState
+carries those rows and each layer's per-head self-attention keys and
+values, which start at zero positions.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .tensor import (
     linear,
     matmul,
     no_grad,
-    scale,
+    pad_rows,
     transpose,
 )
 
@@ -153,7 +159,8 @@ def init_model(config: ModelConfig, seed: int) -> SeqModel:
 
 @dataclass
 class ForwardTrace:
-    """Everything a distillation loss consumes from one forward pass."""
+    """Everything a distillation loss consumes from one forward pass, laid
+    out padded; hidden states and logits are exact zeros at padding."""
 
     logits: Tensor
     enc_attn: list[Tensor] = field(default_factory=list)  # [B, H, Ls, Ls] per layer
@@ -181,16 +188,18 @@ def _check_length(cfg: ModelConfig, what: str, length: int) -> None:
         )
 
 
-def _keys_values(p, prefix, source: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
+def _keys_values(p, prefix, source: Tensor, n_heads: int, rows) -> tuple[Tensor, Tensor]:
     """Per-head keys [B, H, dh, L] and values [B, H, L, dh] of one attention
-    block over a quantized source."""
-    return (linear(source, p[f"{prefix}.wk"], p[f"{prefix}.bk"], n_heads, keys=True),
-            linear(source, p[f"{prefix}.wv"], p[f"{prefix}.bv"], n_heads))
+    block over a quantized source (packed at rows, if given; see linear)."""
+    return (linear(source, p[f"{prefix}.wk"], p[f"{prefix}.bk"], n_heads, True, rows),
+            linear(source, p[f"{prefix}.wv"], p[f"{prefix}.bv"], n_heads, False, rows))
 
 
-def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, past=None):
-    """One residual attention block. Returns (new_x, masked pre-softmax
-    scores, the (keys, values) pair it attended to).
+def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, rows, past=None):
+    """One residual attention block over x, the packed rows of the real
+    positions rows marks ([B, L] boolean), or with rows None, [B, L, D].
+    Returns (new_x, masked pre-softmax scores, the (keys, values) pair it
+    attended to).
 
     kv is a (keys, values) pair computed elsewhere, as cross-attention's are
     from the encoder memory, or None for self-attention over x, whose keys
@@ -199,33 +208,34 @@ def _attention(p, prefix, ln_prefix, x, kv, key_mask, cfg, a_bits, drop, rng, pa
     """
     xn = layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
     xq = quantize_activation(xn, a_bits)  # once for queries, keys and values
-    q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"], cfg.n_heads)
+    q = linear(xq, p[f"{prefix}.wq"], p[f"{prefix}.bq"], cfg.n_heads, False, rows)
     if kv is None:
-        kv = _keys_values(p, prefix, xq, cfg.n_heads)
+        kv = _keys_values(p, prefix, xq, cfg.n_heads, rows)
         if past is not None:
             kv = (Tensor(np.concatenate([past[0].data, kv[0].data], axis=3)),
                   Tensor(np.concatenate([past[1].data, kv[1].data], axis=2)))
     k, v = kv
     scores = attention_scores(q, k, key_mask)
-    ctx = attention_context(scores, v, drop, rng)
+    ctx = attention_context(scores, v, drop, rng, rows)
     out = linear(quantize_activation(ctx, a_bits), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    return add(x, dropout(out, drop, rng)), scores, kv
+    return add(x, dropout(out, drop, rng, rows)), scores, kv
 
 
-def _ffn(p, prefix, ln_prefix, x, a_bits, drop, rng):
+def _ffn(p, prefix, ln_prefix, x, a_bits, drop, rng, rows):
     xn = layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], LN_EPS)
     h = gelu(linear(quantize_activation(xn, a_bits), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
     out = linear(quantize_activation(h, a_bits), p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-    return add(x, dropout(out, drop, rng))
+    return add(x, dropout(out, drop, rng, rows))
 
 
-def _embed(p, ids: np.ndarray, start: int, d_model: int, drop, rng) -> Tensor:
-    """Token plus positional embeddings of ids at positions start, start + 1, ..."""
-    b, l = ids.shape
-    tok = scale(embedding_gather(p["embed.tok"], ids), math.sqrt(d_model))
-    positions = np.arange(start, start + l, dtype=np.int64)[None].repeat(b, axis=0)
-    pos = embedding_gather(p["embed.pos"], positions)
-    return dropout(add(tok, pos), drop, rng)
+def _embed(p, ids: np.ndarray, rows, start: int, d_model: int, drop, rng) -> Tensor:
+    """Token plus positional embeddings of ids at positions start, start + 1, ...:
+    of the positions rows marks, packed, or with rows None, of all of them."""
+    positions = np.broadcast_to(np.arange(start, start + ids.shape[1]), ids.shape)
+    if rows is not None:
+        ids, positions = ids[rows], positions[rows]
+    x = embedding_gather(p["embed.tok"], ids, math.sqrt(d_model), p["embed.pos"], positions)
+    return dropout(x, drop, rng, rows)
 
 
 @dataclass
@@ -234,10 +244,10 @@ class Encoded:
     over them reads, computed once."""
 
     src_valid: np.ndarray  # [B, Ls] bool
-    # per decoder layer: keys [B, H, dh, Ls] and values [B, H, Ls, dh]
+    # per decoder layer: keys [B, H, dh, Ls] and values [B, H, Ls, dh], zero at padding
     cross_kv: list[tuple[Tensor, Tensor]]
     enc_attn: list[Tensor]  # [B, H, Ls, Ls] per encoder layer
-    enc_hidden: list[Tensor]  # [B, Ls, D] per encoder layer
+    enc_hidden: list[Tensor]  # [N, D] per encoder layer: the real positions' rows, packed
 
 
 def encode(
@@ -256,45 +266,47 @@ def encode(
     _check_length(cfg, "src", src.shape[1])
     drop = cfg.dropout_rate if training else 0.0
     enc = Encoded(src != pad_id, [], [], [])
-    key_mask = enc.src_valid[:, None, None, :]
-    x = _embed(p, src, 0, cfg.d_model, drop, rng)
+    rows, key_mask = enc.src_valid, enc.src_valid[:, None, None, :]
+    x = _embed(p, src, rows, 0, cfg.d_model, drop, rng)
     for i in range(cfg.n_enc_layers):
         x, scores, _ = _attention(
-            p, f"enc.{i}.attn", f"enc.{i}.ln1", x, None, key_mask, cfg, a_bits, drop, rng
+            p, f"enc.{i}.attn", f"enc.{i}.ln1", x, None, key_mask, cfg, a_bits, drop, rng, rows
         )
-        x = _ffn(p, f"enc.{i}.ffn", f"enc.{i}.ln2", x, a_bits, drop, rng)
+        x = _ffn(p, f"enc.{i}.ffn", f"enc.{i}.ln2", x, a_bits, drop, rng, rows)
         enc.enc_attn.append(scores)
         enc.enc_hidden.append(x)
     memory = layer_norm(x, p["enc.final_ln.gain"], p["enc.final_ln.bias"], LN_EPS)
     memory_q = quantize_activation(memory, a_bits)
     enc.cross_kv = [
-        _keys_values(p, f"dec.{i}.cross", memory_q, cfg.n_heads)
+        _keys_values(p, f"dec.{i}.cross", memory_q, cfg.n_heads, rows)
         for i in range(cfg.n_dec_layers)
     ]
     return enc
 
 
-def _decode(model, source, tgt, start, self_key_mask, a_bits, drop, rng, trace, pasts=None):
+def _decode(model, source, tgt, start, self_key_mask, a_bits, drop, rng, trace, rows=None,
+            pasts=None):
     """Decoder pass over target positions start, start + 1, ...; fills trace's
-    decoder fields and logits. source, an Encoded or a DecodeState, gives the
-    source mask and cross-attention keys and values; pasts, if given, one
-    self-attention (keys, values) pair per layer of the earlier positions.
-    Returns the self-attention pairs each layer attended to."""
+    decoder fields and logits, packed at rows if given (as _attention's x).
+    source, an Encoded or a DecodeState, gives the source mask and
+    cross-attention keys and values; pasts, if given, one self-attention
+    (keys, values) pair per layer of the earlier positions. Returns the
+    self-attention pairs each layer attended to."""
     cfg, p = model.config, model.params
     src_key_mask = source.src_valid[:, None, None, :]
     self_kv = []
-    y = _embed(p, tgt, start, cfg.d_model, drop, rng)
+    y = _embed(p, tgt, rows, start, cfg.d_model, drop, rng)
     for i in range(cfg.n_dec_layers):
         y, self_scores, kv = _attention(
             p, f"dec.{i}.attn", f"dec.{i}.ln1", y, None, self_key_mask, cfg, a_bits, drop, rng,
-            pasts[i] if pasts else None,
+            rows, pasts[i] if pasts else None,
         )
         y, cross_scores, _ = _attention(
             p, f"dec.{i}.cross", f"dec.{i}.ln2", y, source.cross_kv[i], src_key_mask, cfg,
-            a_bits, drop, rng,
+            a_bits, drop, rng, rows,
         )
         self_kv.append(kv)
-        y = _ffn(p, f"dec.{i}.ffn", f"dec.{i}.ln3", y, a_bits, drop, rng)
+        y = _ffn(p, f"dec.{i}.ffn", f"dec.{i}.ln3", y, a_bits, drop, rng, rows)
         trace.dec_attn.append(self_scores)
         trace.cross_attn.append(cross_scores)
         trace.dec_hidden.append(y)
@@ -319,12 +331,16 @@ def forward(
     """Full encoder-decoder pass over a batch of id sequences.
 
     src_ids/tgt_ids are [batch, length] (or single sequences); tgt_ids is
-    the decoder input, already shifted to start with BOS. Pad positions are
-    masked out of attention keys and 8-bit activation scales are per
-    position, so at any a_bits, appending padding or batching with other
-    sequences changes the outputs at real positions only by the float
-    rounding of differently shaped matmuls. Decoder self-attention is
-    causal.
+    the decoder input, already shifted to start with BOS. Every position-wise
+    op (embeddings, layer norms, 8-bit activation quantization with its
+    per-position scales, linears, GELU) runs on the real positions only, as
+    one packed matrix, so padding takes no part in them, exactly. Pad
+    positions are masked out of attention keys, and only attention's softmax
+    sums and products over the keys still see the padded width: at any
+    a_bits, appending padding or batching with other sequences changes the
+    outputs at real positions only by their float rounding. The trace's
+    hidden states and logits are exact zeros at padding. Decoder
+    self-attention is causal.
     """
     cfg = model.config
     src = _as_ids(src_ids, "src_ids")
@@ -335,14 +351,18 @@ def forward(
     enc = encode(model, src, pad_id, a_bits=a_bits, training=training, rng=rng)
     tgt_valid = tgt != pad_id
     trace = ForwardTrace(
-        logits=None, enc_attn=enc.enc_attn, enc_hidden=enc.enc_hidden,
-        src_valid=enc.src_valid, tgt_valid=tgt_valid,
+        logits=None, enc_attn=enc.enc_attn, src_valid=enc.src_valid, tgt_valid=tgt_valid,
     )
     lt = tgt.shape[1]
     causal = np.tril(np.ones((lt, lt), dtype=bool))
     self_key_mask = tgt_valid[:, None, None, :] & causal[None, None, :, :]
     drop = cfg.dropout_rate if training else 0.0
-    _decode(model, enc, tgt, 0, self_key_mask, a_bits, drop, rng, trace)
+    _decode(model, enc, tgt, 0, self_key_mask, a_bits, drop, rng, trace, tgt_valid)
+    # laid out padded only now, after the whole decoder: each hidden state's
+    # gradient then sums its terms in the order a padded forward's did
+    trace.logits = pad_rows(trace.logits, tgt_valid)
+    trace.enc_hidden = [pad_rows(h, enc.src_valid) for h in enc.enc_hidden]
+    trace.dec_hidden = [pad_rows(h, tgt_valid) for h in trace.dec_hidden]
     return trace
 
 
@@ -387,7 +407,7 @@ def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
     state.tgt_valid = np.concatenate([state.tgt_valid, tok != pad_id], axis=1)
     trace = ForwardTrace(logits=None, src_valid=state.src_valid, tgt_valid=state.tgt_valid)
     state.self_kv = _decode(model, state, tok, start, state.tgt_valid[:, None, None, :], a_bits,
-                            0.0, None, trace, state.self_kv)
+                            0.0, None, trace, pasts=state.self_kv)
     return trace
 
 

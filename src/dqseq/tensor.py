@@ -245,23 +245,27 @@ def matmul(a, b) -> Tensor:
     return linear(a, b, None)
 
 
-def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
+def linear(x, w, b, n_heads: int = 0, keys: bool = False, rows=None) -> Tensor:
     """x @ w + b as one node: [..., k] inputs, a [k, n] weight, an [n] bias
     or None. Without a bias nothing is added, so a -0.0 product stays -0.0,
     and the node has two parents.
 
-    With n_heads, the output of a [B, L, k] input is split into heads as it
-    is made: per-head queries or values [B, H, L, n / H], or with keys
-    per-head keys [B, H, n / H, L], the layouts attention_scores and
-    attention_context read; backward merges the heads' gradients first. The
-    node keeps x only for w's gradient and w only for x's, each as its
+    With n_heads, the output is split into heads as it is made: per-head
+    queries or values [B, H, L, n / H], or with keys per-head keys
+    [B, H, n / H, L], the layouts attention_scores and attention_context
+    read; backward merges the heads' gradients first. The input is then
+    [B, L, k], or with rows, a [B, L] boolean mask of real positions, the
+    packed [N, k] rows of those positions in C order: their products go
+    straight into the head layout, which holds zeros at the other positions.
+    The node keeps x only for w's gradient and w only for x's, each as its
     quantized link when it has one (Tensor.quant), else as the float array.
 
-    Backward takes x's gradient as one 2-D GEMM over the flattened rows, whose
-    bits do not depend on how the rows group into B and L. The forward keeps
-    one product per batch row: a 2-D GEMM rounds an M = 1 product differently
-    (OpenBLAS hands it to gemv), so a decoded row's logits would change when
-    the other rows of its batch finish.
+    A packed or 2-D input is one GEMM over its rows. A [B, L, k] input, which
+    only decode steps pass (L = 1), keeps one product per batch row: a 2-D
+    GEMM rounds an M = 1 product differently (OpenBLAS hands it to gemv), so
+    a decoded row's logits would change when the other rows of its batch
+    finish. Backward takes x's gradient as one 2-D GEMM over the flattened
+    rows, whose bits do not depend on how the rows group into B and L.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
     X, W = x.data, w.data
@@ -269,20 +273,22 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
             or (b is not None and b.shape != W.shape[1:]):
         bias = "" if b is None else f" + {b.shape}"
         raise ShapeError(f"linear needs [..., k] @ [k, n] (+ [n]): {X.shape} @ {W.shape}{bias}")
-    if n_heads and (X.ndim != 3 or W.shape[1] % n_heads):
-        raise ShapeError(f"linear into {n_heads} heads needs [B, L, k] inputs and n a multiple "
-                         f"of {n_heads}: {X.shape} @ {W.shape}")
+    laid_out = X.ndim == 3 if rows is None else X.ndim == 2 and np.count_nonzero(rows) == len(X)
+    if n_heads and (W.shape[1] % n_heads or not laid_out):
+        raise ShapeError(f"linear into {n_heads} heads needs [B, L, k] inputs, or [N, k] for N "
+                         f"rows, and n a multiple of {n_heads}: {X.shape} @ {W.shape}")
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
     x_kept, w_kept, x_shape, w_shape = _kept(x, need_w), _kept(w, need_x), X.shape, W.shape
-    axes, merge = ((0, 2, 3, 1), (0, 3, 1, 2)) if keys else ((0, 2, 1, 3), (0, 2, 1, 3))
-    out_shape = X.shape[:-1] + W.shape[1:]
+    merge = (0, 3, 1, 2) if keys else (0, 2, 1, 3)  # a head layout's axes as [B, L, H, n / H]
+    n = W.shape[1]
 
     def bwd(g):
         if n_heads:
-            g = g.transpose(merge).reshape(out_shape)
+            g = g.transpose(merge)
+            g = g.reshape(*g.shape[:2], n) if rows is None else g[rows].reshape(-1, n)
         # rows in C order: one B = 1 keys gradient merges into a column-major view,
         # which BLAS would multiply with another kernel and round differently
-        g2 = np.ascontiguousarray(g.reshape(-1, g.shape[-1]))
+        g2 = np.ascontiguousarray(g.reshape(-1, n))
         gx = (g2 @ _restored(w_kept, w_shape).T).reshape(x_shape) if need_x else None
         gw = _restored(x_kept, x_shape).reshape(-1, x_shape[-1]).T @ g2 if need_w else None
         return gx, gw, (g2.sum(axis=0) if need_b else None)
@@ -290,8 +296,16 @@ def linear(x, w, b, n_heads: int = 0, keys: bool = False) -> Tensor:
     out = X @ W
     if b is not None:
         out += b.data
-    if n_heads:  # copied contiguous, so the attention ops' batched matmuls round as they did
-        out = np.ascontiguousarray(out.reshape(*out_shape[:2], n_heads, -1).transpose(axes))
+    if n_heads:  # contiguous, so the attention ops' batched matmuls round as they did
+        lead, dh = (X.shape[:2] if rows is None else rows.shape), n // n_heads
+        heads = np.zeros((lead[0], n_heads, dh, lead[1]) if keys else
+                         (lead[0], n_heads, lead[1], dh), np.float32)
+        split = heads.transpose(merge)
+        if rows is None:
+            split[...] = out.reshape(split.shape)
+        else:
+            split[rows] = out.reshape(-1, n_heads, dh)
+        out = heads
     return _record("linear", out, (x, w) if b is None else (x, w, b), bwd)
 
 
@@ -304,13 +318,6 @@ def add(a, b) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def scale(a, s: float) -> Tensor:
-    """Multiply every element by the Python scalar s."""
-    a = _as_tensor(a)
-    s = float(s)
-    return _record("scale", a.data * s, (a,), lambda g: (g * s,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -401,39 +408,58 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record("layer_norm", out, (a, gain, bias), bwd)
 
 
-def embedding_gather(table, ids) -> Tensor:
-    """Gather rows of a [v, d] table; output shape is ids.shape + (d,)."""
-    table = _as_tensor(table)
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
-    idx = np.asarray(ids, dtype=np.int64)
-    v, d = table.shape
-    if idx.size:
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0 or hi >= v:
-            bad = lo if lo < 0 else hi
-            raise IndexError(f"token id {bad} out of range [0, {v})")
-    flat = idx.reshape(-1)
-    out = table.data[flat].reshape(idx.shape + (d,))
+def embedding_gather(table, ids, scale: float = 1.0, pos=None, positions=None) -> Tensor:
+    """Rows of a [v, d] table gathered at ids, times the Python scalar scale,
+    plus, when a [p, d] table pos is given, its rows gathered at positions
+    (an id array of ids' shape): one node of shape ids.shape + (d,)."""
+    tables = [_as_tensor(table)] + ([] if pos is None else [_as_tensor(pos)])
+    idxs = [np.asarray(ids, dtype=np.int64)] + ([] if pos is None else
+                                                [np.asarray(positions, dtype=np.int64)])
+    d, s = tables[0].shape[-1], float(scale)
+    for t, idx in zip(tables, idxs):
+        if t.data.ndim != 2 or t.shape[1] != d or idx.shape != idxs[0].shape:
+            raise ShapeError(f"embedding tables must be 2-D and {d} wide, and their ids of one "
+                             f"shape; got {t.shape} at {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(t.data)):
+            bad = idx.min() if idx.min() < 0 else idx.max()
+            raise IndexError(f"token id {bad} out of range [0, {len(t.data)})")
+    flats = [idx.reshape(-1) for idx in idxs]
+    out = tables[0].data[flats[0]]
+    out *= s
+    if pos is not None:
+        out += tables[1].data[flats[1]]
 
-    def bwd(g):
+    def summed(g, flat, v):
         # each id's rows summed from 0 in order, as np.add.at does, one reduce per id
         order = np.argsort(flat, kind="stable")
         ids, starts = np.unique(flat[order], return_index=True)
         gt = np.zeros((v, d), np.float32)
-        for i, rows in zip(ids, np.split(g.reshape(-1, d)[order], starts[1:])):
+        for i, rows in zip(ids, np.split(g[order], starts[1:])):
             gt[i] = np.add.reduce(rows, axis=0, initial=0.0)
-        return (gt,)
+        return gt
 
-    return _record("embedding_gather", out, (table,), bwd)
+    def bwd(g):
+        g = g.reshape(-1, d)
+        return tuple(summed(gt, flat, len(t.data))
+                     for t, flat, gt in zip(tables, flats, (g * s, g)))
+
+    return _record("embedding_gather", out.reshape(idxs[0].shape + (d,)), tuple(tables), bwd)
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; rate 0 is the identity (no node recorded)."""
+def dropout(a, rate: float, rng: np.random.Generator | None, rows=None) -> Tensor:
+    """Inverted dropout; rate 0 is the identity (no node recorded).
+
+    With rows, a [B, L] boolean mask whose real positions a's [N, ...] rows
+    are, the multipliers are drawn for all B x L positions and the real
+    positions' taken, so the draws do not depend on the packing.
+    """
     a = _as_tensor(a)
     if rate == 0.0:
         return a
-    keep = _dropout_keep(a.shape, rate, rng)
+    if rows is None:
+        keep = _dropout_keep(a.shape, rate, rng)
+    else:
+        keep = _dropout_keep(rows.shape + a.shape[1:], rate, rng)[rows]
     return _record("dropout", a.data * keep, (a,), lambda g: (g * keep,))
 
 
@@ -444,6 +470,18 @@ def _dropout_keep(shape, rate: float, rng: np.random.Generator | None) -> np.nda
     if rng is None:
         raise ValueError("dropout with rate > 0 needs an explicit rng")
     return (rng.random(shape) >= rate).astype(np.float32) / (1.0 - rate)
+
+
+def pad_rows(x, rows) -> Tensor:
+    """The packed rows [N, ...] of x laid out at the real positions of rows,
+    a [B, L] boolean mask, in C order, with zeros at the others: [B, L, ...]."""
+    x = _as_tensor(x)
+    if np.count_nonzero(rows) != len(x.data):
+        raise ShapeError(f"pad_rows got {len(x.data)} rows for {np.count_nonzero(rows)} "
+                         f"real positions")
+    out = np.zeros(rows.shape + x.shape[1:], np.float32)
+    out[rows] = x.data
+    return _record("pad_rows", out, (x,), lambda g: (g[rows],))
 
 
 # the score of a key that attention_scores' key mask leaves out
@@ -480,10 +518,13 @@ def attention_scores(q, k, key_mask) -> Tensor:
     return _record("attention_scores", out, (q, k), bwd)
 
 
-def attention_context(scores, v, rate: float, rng: np.random.Generator | None) -> Tensor:
+def attention_context(scores, v, rate: float, rng: np.random.Generator | None,
+                      rows=None) -> Tensor:
     """Softmax of [B, H, Lq, Lk] scores over the keys, inverted dropout at
     rate, then each head's mix of per-head values [B, H, Lk, D / H]
-    (linear(..., n_heads)), merged to [B, Lq, D]."""
+    (linear(..., n_heads)), merged to [B, Lq, D]. With rows, a [B, Lq]
+    boolean mask of real queries, only their rows are returned, packed in C
+    order: [N, D]."""
     scores, v = _as_tensor(scores), _as_tensor(v)
     s, vh = scores.data, v.data
     if s.ndim != 4 or vh.ndim != 4 or s.shape[:2] + s.shape[3:] != vh.shape[:3]:
@@ -496,12 +537,18 @@ def attention_context(scores, v, rate: float, rng: np.random.Generator | None) -
     y /= np.add.reduce(y, axis=-1, keepdims=True)
     keep = _dropout_keep(y.shape, rate, rng) if rate else None
     probs = y if keep is None else y * keep
-    ctx = np.ascontiguousarray((probs @ vh).transpose(0, 2, 1, 3))  # [B, Lq, H, dh]
+    ctx = (probs @ vh).transpose(0, 2, 1, 3)  # [B, Lq, H, dh]
     ctx_shape = ctx.shape
+    ctx = np.ascontiguousarray(ctx) if rows is None else ctx[rows]
     need_s, need_v = scores.requires_grad, v.requires_grad
 
     def bwd(g):
-        gh = g.reshape(ctx_shape).transpose(0, 2, 1, 3)
+        if rows is None:
+            gh = g.reshape(ctx_shape)
+        else:
+            gh = np.zeros(ctx_shape, np.float32)
+            gh[rows] = g.reshape(-1, *ctx_shape[2:])
+        gh = gh.transpose(0, 2, 1, 3)
         gs = gv = None
         if need_s:
             gs = gh @ np.swapaxes(vh, -1, -2)
@@ -513,7 +560,8 @@ def attention_context(scores, v, rate: float, rng: np.random.Generator | None) -
             gv = np.swapaxes(probs, -1, -2) @ gh
         return gs, gv
 
-    return _record("attention_context", ctx.reshape(s.shape[0], s.shape[2], -1), (scores, v), bwd)
+    out = ctx.reshape(*ctx.shape[:-2], ctx_shape[2] * ctx_shape[3])  # [B, Lq, D] or [N, D]
+    return _record("attention_context", out, (scores, v), bwd)
 
 
 def transpose(a) -> Tensor:

@@ -1,4 +1,5 @@
-"""Tape ops that only tests use: an elementwise product and a sum to a scalar.
+"""Tape ops that only tests use: an elementwise product, a product by a
+Python scalar and a sum to a scalar.
 
 The model never needs them, but tests build graphs with them and reduce an
 output to a scalar loss to call backward on. They record their nodes through
@@ -17,6 +18,13 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
     A, B = a.data, b.data
     return _record("mul", A * B, (a, b), lambda g: (g * B, g * A))
+
+
+def scale(a, s: float) -> Tensor:
+    """Multiply every element by the Python scalar s."""
+    a = _as_tensor(a)
+    s = float(s)
+    return _record("scale", a.data * s, (a,), lambda g: (g * s,))
 
 
 def sum_all(a) -> Tensor:

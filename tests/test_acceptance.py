@@ -42,14 +42,14 @@ from dqseq.tensor import (
     linear,
     matmul,
     mse,
-    scale,
+    pad_rows,
     straight_through,
     transpose,
 )
 from dqseq.trainer import TrainConfig
 
 from conftest import LADDER_MODEL, LADDER_TASK
-from tape_ops import mul, sum_all
+from tape_ops import mul, scale, sum_all
 
 from oracles import (
     brute_force_lcs,
@@ -273,6 +273,13 @@ def test_gradients_match_finite_differences():
     def drop_keep(shape):
         return (np.random.default_rng(drop_seed).random(shape) >= 0.5) * 2.0
 
+    rows = np.array([[True, False, True], [True, True, False]])  # 4 real positions of [2, 3]
+
+    def padded(packed):  # float64 packed rows laid out at rows, zeros elsewhere
+        out = np.zeros(rows.shape + packed.shape[1:])
+        out[rows] = packed
+        return out
+
     cases = [
         ("matmul", (T(3, 4), T(4, 5)),
          lambda a, b: w32(matmul(a, b), (3, 5)),
@@ -295,6 +302,17 @@ def test_gradients_match_finite_differences():
         ("linear", (T(2, 3, 4), T(4, 5), T(5)),
          lambda x, w, b: w32(linear(x, w, b), (2, 3, 5)),
          lambda x, w, b: w64(ref_linear(x, w, b), (2, 3, 5))),
+        ("linear packed rows into heads", (T(4, 3), T(3, 4), T(4)),
+         lambda x, w, b: w32(linear(x, w, b, 2, False, rows), (2, 2, 3, 2)),
+         lambda x, w, b: w64(padded(ref_linear(x, w, b)).reshape(2, 3, 2, 2)
+                             .transpose(0, 2, 1, 3), (2, 2, 3, 2))),
+        ("linear packed rows into key heads", (T(4, 3), T(3, 4), T(4)),
+         lambda x, w, b: w32(linear(x, w, b, 2, True, rows), (2, 2, 2, 3)),
+         lambda x, w, b: w64(padded(ref_linear(x, w, b)).reshape(2, 3, 2, 2)
+                             .transpose(0, 2, 3, 1), (2, 2, 2, 3))),
+        ("pad_rows", (T(4, 3),),
+         lambda a: w32(pad_rows(a, rows), (2, 3, 3)),
+         lambda a: w64(padded(a), (2, 3, 3))),
         # the reference's fill moves no gradient; MASK_VALUE's -1e9 would swamp the fd
         ("attention_scores masked key", (T(2, 3, 4), T(2, 5, 4)),
          lambda q, k: w32(attention_scores(heads(q), heads(k, keys=True), key_mask),
@@ -304,12 +322,19 @@ def test_gradients_match_finite_differences():
          lambda s, v: w32(attention_context(s, heads(v), 0.5, np.random.default_rng(drop_seed)),
                           (2, 3, 4)),
          lambda s, v: w64(ref_attention_context(s, v, 2, drop_keep((2, 2, 3, 5))), (2, 3, 4))),
+        ("attention_context packed rows dropout", (T(2, 2, 3, 5), T(2, 5, 4)),
+         lambda s, v: w32(attention_context(s, heads(v), 0.5, np.random.default_rng(drop_seed),
+                                            rows), (4, 4)),
+         lambda s, v: w64(ref_attention_context(s, v, 2, drop_keep((2, 2, 3, 5)))[rows], (4, 4))),
         ("layer_norm", (T(3, 4), T(4), T(4)),
          lambda a, g, b: w32(layer_norm(a, g, b), (3, 4)),
          lambda a, g, b: w64(ref_layer_norm(a, g, b), (3, 4))),
         ("embedding_gather", (T(7, 4),),
          lambda t: w32(embedding_gather(t, ids), (2, 3, 4)),
          lambda t: w64(t[ids], (2, 3, 4))),
+        ("embedding_gather scaled plus positions", (T(7, 4), T(3, 4)),
+         lambda t, p: w32(embedding_gather(t, ids, 1.5, p, ids % 3), (2, 3, 4)),
+         lambda t, p: w64(t[ids] * 1.5 + p[ids % 3], (2, 3, 4))),
         ("dropout", (T(3, 4),),
          lambda a: w32(dropout(a, 0.5, np.random.default_rng(drop_seed)), (3, 4)),
          lambda a: w64(a * drop_keep((3, 4)), (3, 4))),

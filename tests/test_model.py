@@ -139,6 +139,64 @@ def test_padding_invariance():
     )
 
 
+def test_trace_is_exact_zero_at_padding():
+    # position-wise ops run on the real positions only; forward lays their
+    # hidden states and logits out padded, with +0.0 at every padded position
+    m = toy_model()
+    src = np.array([[4, 5, PAD, PAD], [6, 7, 8, 9], [PAD, 5, 6, PAD]], np.int64)
+    tgt = np.array([[1, 4, PAD], [1, 6, 7], [1, PAD, 5]], np.int64)
+    for q in (QuantConfig(), QuantConfig(2, 2, 8)):
+        tr = forward(quantize_model(m, q), src, tgt, PAD, a_bits=q.a_bits)
+        for pad, fields in ((src == PAD, tr.enc_hidden), (tgt == PAD, tr.dec_hidden + [tr.logits])):
+            for t in fields:
+                assert t.data[pad].tobytes() == np.zeros_like(t.data[pad]).tobytes()
+                assert np.isfinite(t.data).all() and t.data[~pad].any(axis=-1).all()
+
+
+def test_a_width_one_batch_runs_as_with_one_more_padding_column():
+    # a width-1 batch multiplies its real rows in one GEMM, as any wider batch
+    # does; a padded width-1 forward ran one gemv per row and rounded differently
+    rng = np.random.default_rng(8)
+    src, tgt = rng.integers(4, TOY.vocab_size, size=(6, 1)), np.ones((6, 1), np.int64)
+    wider = [np.pad(ids, ((0, 0), (0, 1)), constant_values=PAD) for ids in (src, tgt)]
+    for q in (QuantConfig(), QuantConfig(2, 2, 8)):
+        view = quantize_model(toy_model(), q)
+        a = forward(view, src, tgt, PAD, a_bits=q.a_bits)
+        b = forward(view, *wider, PAD, a_bits=q.a_bits)
+        for x, y in zip([a.logits, *a.enc_hidden, *a.dec_hidden],
+                        [b.logits, *b.enc_hidden, *b.dec_hidden]):
+            assert x.data.tobytes() == y.data[:, :1].tobytes(), q.label
+
+
+def test_an_all_padding_source_row_attends_to_zero_values():
+    # no task makes one, but greedy decoding of an empty source does: every key
+    # is masked, so its cross-attention is the mean of its values, all zeros,
+    # and its decode does not depend on the width or the other rows
+    view = quantize_model(toy_model(seed=2), QuantConfig(2, 2, 8))
+    enc = encode(view, [[PAD, PAD], [4, 5]], PAD, a_bits=8)
+    assert all(not k.data[0].any() and not v.data[0].any() for k, v in enc.cross_kv)
+    tr = forward(view, [[PAD, PAD], [4, 5]], [[BOS, 4], [BOS, 6]], PAD, a_bits=8)
+    assert np.isfinite(tr.logits.data).all() and tr.logits.data[0].any(axis=-1).all()
+    empty = forward(view, [[PAD, PAD]], [[PAD, PAD]], PAD, a_bits=8)  # no real position at all
+    assert not empty.logits.data.any() and not empty.enc_hidden[0].data.any()
+
+    def logits(other, steps=4):
+        state = DecodeState(encode(view, [[PAD] * len(other), other], PAD, a_bits=8))
+        ids, out = np.full(2, BOS), []
+        for _ in range(steps):
+            step = decode_step(view, state, ids, PAD, a_bits=8).logits.data[:, -1]
+            ids = step.argmax(axis=1)
+            out.append(step[0])
+        return np.stack(out)
+
+    want = logits([4, 5])
+    assert np.isfinite(want).all()
+    for other in ([6], [7, 8, 9, 10, 11]):
+        assert logits(other).tobytes() == want.tobytes()
+    assert greedy_decode_batch(view, [[], [4, 5]], BOS, EOS, 4, PAD, a_bits=8)[0] == \
+        greedy_decode_batch(view, [[], [6]], BOS, EOS, 4, PAD, a_bits=8)[0]
+
+
 def test_attention_scores_carry_mask_value():
     m = toy_model()
     src = np.array([[4, 5, PAD, PAD], [6, 7, 8, PAD]], np.int64)

@@ -51,7 +51,7 @@ TIMING_SCRIPTS = {
     "decode_times.py --batches 2": lambda out: "decode_step" in out["phase"],
     "ckpt_times.py --warmup 1 --reps 2": lambda out: out["phases_ms_median"]["pack"] > 0,
     "step_memory.py --warmup 1":
-        lambda out: all(out[kind]["heap_peak_bytes"] > 0 for kind in ("teacher", "dq 2-2-8")),
+        lambda out: all(out[kind]["heap_peak_kb"] > 0 for kind in ("teacher", "dq 2-2-8")),
 }
 
 

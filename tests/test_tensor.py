@@ -30,7 +30,7 @@ from dqseq.tensor import (
     matmul,
     mse,
     no_grad,
-    scale,
+    pad_rows,
     set_nan_checks,
     straight_through,
     transpose,
@@ -43,7 +43,7 @@ from dqseq.tasks import BOS, EOS, PAD
 from dqseq.trainer import Adam, distillation_aware_step
 
 import oracles
-from tape_ops import mul, sum_all
+from tape_ops import mul, scale, sum_all
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,102 @@ def test_linear_input_grad_is_one_2d_product(k, n, n_heads, keys):
             # float32 sums over k <= 256 read at most 1.2e-6 of max|gx| at these shapes
             ref = oracles.ref_linear(g.astype(np.float64), w.astype(np.float64).T, 0.0)
             assert np.abs(x.grad - ref).max() <= 2e-6 * np.abs(ref).max(), (B, L)
+
+
+# a [B, L] mask of real positions with padding inside rows, at their ends and a whole row
+ROWS = np.array([[1, 1, 1, 0, 0], [1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1]], bool)
+
+
+def _backprop(out, seed, *inputs):
+    for t in inputs:
+        t.grad = None
+    with Tape():
+        backward(sum_all(mul(out(), Tensor(seed))))
+    return [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("n,n_heads,keys", [(16, 0, False), (16, 4, False), (16, 4, True)],
+                         ids=["plain", "query-heads", "key-heads"])
+def test_packed_linear_equals_the_padded_linear_at_real_rows(n, n_heads, keys):
+    # one GEMM over the packed rows rounds each row as the per-batch-row products
+    # of a padded width >= 2 do; the head layout holds exact zeros at padding
+    rng = np.random.default_rng(24)
+    x = rand(rng, *ROWS.shape, 8)
+    w, b = Tensor(rand(rng, 8, n), requires_grad=True), Tensor(rand(rng, n), requires_grad=True)
+    xp, xr = Tensor(x, requires_grad=True), Tensor(x[ROWS], requires_grad=True)
+    merge = (0, 3, 1, 2) if keys else (0, 2, 1, 3)
+    padded = linear(xp, w, b, n_heads, keys).data
+    packed = linear(xr, w, b, n_heads, keys, ROWS if n_heads else None).data
+    split = (lambda a: a.transpose(merge)) if n_heads else (lambda a: a.reshape(-1, n))
+    assert split(padded)[ROWS if n_heads else ROWS.reshape(-1)].tobytes() == \
+        (split(packed)[ROWS] if n_heads else packed).tobytes()
+    if n_heads:
+        assert not split(packed)[~ROWS].any()
+    g = rand(rng, *padded.shape)
+    split(g)[~ROWS if n_heads else ~ROWS.reshape(-1)] = 0.0  # the losses mask padding out
+    gx, gw, gb = _backprop(lambda: linear(xp, w, b, n_heads, keys), g, xp, w, b)
+    gpacked = g if n_heads else g.reshape(-1, n)[ROWS.reshape(-1)]
+    got = _backprop(lambda: linear(xr, w, b, n_heads, keys, ROWS if n_heads else None),
+                    gpacked, xr, w, b)
+    assert got[0].tobytes() == gx[ROWS].tobytes()
+    assert got[1].tobytes() == gw.tobytes() and got[2].tobytes() == gb.tobytes()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_packed_attention_context_equals_the_padded_op_at_real_rows(rate):
+    rng = np.random.default_rng(25)
+    s = Tensor(rand(rng, 4, 2, 5, 5), requires_grad=True)
+    v = Tensor(rand(rng, 4, 2, 5, 3), requires_grad=True)
+    padded = attention_context(s, v, rate, np.random.default_rng(3))
+    packed = attention_context(s, v, rate, np.random.default_rng(3), ROWS)
+    assert packed.shape == (ROWS.sum(), 6)
+    assert packed.data.tobytes() == padded.data[ROWS].tobytes()
+    g = rand(rng, *padded.shape)
+    g[~ROWS] = 0.0
+    gs, gv = _backprop(lambda: attention_context(s, v, rate, np.random.default_rng(3)), g, s, v)
+    got = _backprop(lambda: attention_context(s, v, rate, np.random.default_rng(3), ROWS),
+                    g[ROWS], s, v)
+    assert got[0].tobytes() == gs.tobytes() and got[1].tobytes() == gv.tobytes()
+
+
+def test_packed_dropout_draws_at_the_padded_shape():
+    # the same rng draws as a padded dropout, so each real position keeps its mask
+    x = np.random.default_rng(26).standard_normal(ROWS.shape + (6,)).astype(np.float32)
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    padded = dropout(Tensor(x), 0.5, a)
+    packed = dropout(Tensor(x[ROWS]), 0.5, b, ROWS)
+    assert packed.data.tobytes() == padded.data[ROWS].tobytes()
+    assert a.integers(1 << 62) == b.integers(1 << 62)
+
+
+def test_pad_rows_lays_packed_rows_out_with_zeros():
+    x = Tensor(np.arange(ROWS.sum() * 2, dtype=np.float32).reshape(-1, 2) + 1, requires_grad=True)
+    out = pad_rows(x, ROWS)
+    assert out.shape == ROWS.shape + (2,)
+    assert np.array_equal(out.data[ROWS], x.data) and not out.data[~ROWS].any()
+    g = np.random.default_rng(0).standard_normal(out.shape).astype(np.float32)
+    (gx,) = _backprop(lambda: pad_rows(x, ROWS), g, x)
+    assert gx.tobytes() == g[ROWS].tobytes()
+    with pytest.raises(ShapeError, match="rows"):
+        pad_rows(x, ROWS[:2])
+
+
+def test_embedding_gather_scaled_plus_positions_is_the_three_ops_in_one_node():
+    rng = np.random.default_rng(27)
+    tok, pos = Tensor(rand(rng, 7, 4), requires_grad=True), Tensor(rand(rng, 5, 4),
+                                                                  requires_grad=True)
+    ids, positions = rng.integers(0, 7, (3, 5)), np.broadcast_to(np.arange(5), (3, 5))
+    g = rand(rng, 3, 5, 4)
+    with Tape() as tape:
+        fused = embedding_gather(tok, ids, 8.0, pos, positions)
+    assert len(tape) == 1
+    apart = lambda: add(scale(embedding_gather(tok, ids), 8.0), embedding_gather(pos, positions))
+    assert fused.data.tobytes() == apart().data.tobytes()
+    want = _backprop(apart, g, tok, pos)
+    got = _backprop(lambda: embedding_gather(tok, ids, 8.0, pos, positions), g, tok, pos)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    with pytest.raises(IndexError, match="5"):
+        embedding_gather(tok, ids, 8.0, pos, positions + 1)
 
 
 def heads(x, n_heads, keys=False):
@@ -585,8 +681,9 @@ def _heap_peak(step) -> int:
 def test_ladder_dq_step_heap_peak_and_leaf_grads(ladder_dq_inputs):
     # the tape holds only what backward reads, quantized operands as int8
     # codes, and backward frees it as it goes, so one 2-2-8 dq step at the
-    # ladder shape peaks at 9.8 MB above its resting heap: 14.4 MB with
-    # float32 operands, 31.5 MB holding every node's output and gradient
+    # ladder shape peaks at 7.8 MB above its resting heap: 9.8 MB with the
+    # position-wise ops on padding too, 14.4 MB with float32 operands,
+    # 31.5 MB holding every node's output and gradient
     teacher, student, lmap, batch = ladder_dq_inputs
     opt = Adam(student.params)
     peak = _heap_peak(lambda: distillation_aware_step(
@@ -601,8 +698,8 @@ def test_ladder_dq_step_heap_peak_and_leaf_grads(ladder_dq_inputs):
 
 
 def test_ladder_teacher_step_heap_peak(ladder_dq_inputs):
-    # a task-only float32 step: 10.0 MB, where gelu's node kept its tanh term
-    # too and the step peaked at 11.2 MB
+    # a task-only float32 step: 7.3 MB; 10.0 MB with the position-wise ops on
+    # padding too, and 11.2 MB where gelu's node also kept its tanh term
     frozen, _, _, batch = ladder_dq_inputs
     teacher = init_model(frozen.config, seed=0)
     opt = Adam(teacher.params)
