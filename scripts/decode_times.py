@@ -14,15 +14,15 @@ pass counting the rows that each ``decode_step`` call receives, then
 The timers wrap, through the probe: every tensor op as ``model`` resolves
 it, ``model.quantize_activation``, and the phases ``encode``,
 ``decode_step`` and ``DecodeState.keep``. An op's calls are timed apart by
-the phase that makes them: ``encode`` runs whole sources, ``decode_step`` one
-position a row. The copies that extend each layer's self-attention keys and
-values are no tape op, so they count in ``decode_step``'s self time. An op's
-self time leaves out the wrapped calls made inside it. Times are ms per batch and
-calls are per batch; us/call (``us_per_call``) is the inclusive time of one
-call, which shows an op's fixed per-call cost. The JSON's ``forward`` table
-merges the phases and ``forward_by_phase`` holds one table per phase. The
-last line of stdout is one JSON object; its ``missing`` lists the names the
-probe did not find.
+the phase that makes them: ``encode`` runs whole sources and returns the
+batch's ``DecodeState``, ``decode_step`` one position a row. The copies that
+extend each layer's self-attention keys and values are no tape op, so they
+count in ``decode_step``'s self time. An op's self time leaves out the
+wrapped calls made inside it. Times are ms per batch and calls are per batch;
+us/call (``us_per_call``) is the inclusive time of one call, which shows an
+op's fixed per-call cost. The JSON's ``forward`` table merges the phases and
+``forward_by_phase`` holds one table per phase. The last line of stdout is
+one JSON object; its ``missing`` lists the names the probe did not find.
 """
 
 import argparse

@@ -11,11 +11,13 @@ writes the real rows' queries, keys and values into zero-filled per-head
 arrays, and attention_context returns the real rows alone. The trace lays
 the hidden states and logits out padded again, with zeros at padding. The
 token embedding table is shared by the encoder input, decoder input, and
-output projection. Greedy decoding encodes the sources once and then runs
-the decoder one position at a time over the rows that have not yet emitted
-EOS, in the padded layout, where every position is real. One DecodeState
-carries those rows and each layer's per-head self-attention keys and
-values, which start at zero positions.
+output projection. encode returns the one DecodeState that every decoder
+pass reads: the source mask and each decoder layer's cross-attention keys
+and values. forward runs the decoder once over whole targets. Greedy
+decoding encodes the sources once and then runs the decoder one position
+at a time over the rows that have not yet emitted EOS, in the padded
+layout, where every position is real; the state also carries those rows'
+per-head self-attention keys and values, which start at zero positions.
 """
 
 from __future__ import annotations
@@ -159,10 +161,11 @@ def init_model(config: ModelConfig, seed: int) -> SeqModel:
 
 @dataclass
 class ForwardTrace:
-    """Everything a distillation loss consumes from one forward pass, laid
-    out padded; hidden states and logits are exact zeros at padding."""
+    """Everything a distillation loss consumes from one forward pass. encode
+    and the decoder append packed hidden rows; forward lays them and the
+    logits out padded last, with exact zeros at padding."""
 
-    logits: Tensor
+    logits: Tensor | None = None
     enc_attn: list[Tensor] = field(default_factory=list)  # [B, H, Ls, Ls] per layer
     dec_attn: list[Tensor] = field(default_factory=list)  # [B, H, Lt, Lt]
     cross_attn: list[Tensor] = field(default_factory=list)  # [B, H, Lt, Ls]
@@ -238,62 +241,72 @@ def _embed(p, ids: np.ndarray, rows, start: int, d_model: int, drop, rng) -> Ten
     return dropout(x, drop, rng, rows)
 
 
-@dataclass
-class Encoded:
-    """The encoder's output for a batch of sources: everything a decoder pass
-    over them reads, computed once."""
+class DecodeState:
+    """The encoder's output as every decoder pass reads it, and what
+    one-position decoder steps carry from call to call. Per row: the source
+    mask, each decoder layer's cross-attention keys [B, H, dh, Ls] and values
+    [B, H, Ls, dh] over the encoder memory (zero at padding), the decoder
+    inputs' validity so far, and each layer's per-head self-attention keys
+    and values, which start at zero positions. keep() drops the other rows."""
 
-    src_valid: np.ndarray  # [B, Ls] bool
-    # per decoder layer: keys [B, H, dh, Ls] and values [B, H, Ls, dh], zero at padding
-    cross_kv: list[tuple[Tensor, Tensor]]
-    enc_attn: list[Tensor]  # [B, H, Ls, Ls] per encoder layer
-    enc_hidden: list[Tensor]  # [N, D] per encoder layer: the real positions' rows, packed
+    def __init__(self, src_valid: np.ndarray, cross_kv: list[tuple[Tensor, Tensor]]):
+        self.src_valid, self.cross_kv = src_valid, cross_kv
+        self.tgt_valid = np.zeros((src_valid.shape[0], 0), dtype=bool)
+        # per decoder layer: keys [B, H, dh, 0] and values [B, H, 0, dh], cut from the cross pair
+        self.self_kv = [(Tensor(k.data[..., :0]), Tensor(v.data[:, :, :0])) for k, v in cross_kv]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only `rows` (a boolean mask or indices over the current rows)."""
+        self.src_valid, self.tgt_valid = self.src_valid[rows], self.tgt_valid[rows]
+        self.cross_kv, self.self_kv = (
+            [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in pairs]
+            for pairs in (self.cross_kv, self.self_kv)
+        )
 
 
 def encode(
     model: SeqModel,
     src_ids,
     pad_id: int,
+    trace: ForwardTrace,
     *,
     a_bits: int = 32,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> Encoded:
-    """Encoder pass over a batch of sources, plus each decoder layer's
-    cross-attention keys and values over the encoder memory."""
+) -> DecodeState:
+    """Encoder pass over a batch of sources. Sets trace's src_valid and
+    appends each encoder layer's scores and hidden states, the real
+    positions' rows packed [N, D], to it; returns the DecodeState whose
+    cross-attention keys and values each decoder layer reads."""
     cfg, p = model.config, model.params
     src = _as_ids(src_ids, "src_ids")
     _check_length(cfg, "src", src.shape[1])
     drop = cfg.dropout_rate if training else 0.0
-    enc = Encoded(src != pad_id, [], [], [])
-    rows, key_mask = enc.src_valid, enc.src_valid[:, None, None, :]
+    rows = trace.src_valid = src != pad_id
+    key_mask = rows[:, None, None, :]
     x = _embed(p, src, rows, 0, cfg.d_model, drop, rng)
     for i in range(cfg.n_enc_layers):
         x, scores, _ = _attention(
             p, f"enc.{i}.attn", f"enc.{i}.ln1", x, None, key_mask, cfg, a_bits, drop, rng, rows
         )
         x = _ffn(p, f"enc.{i}.ffn", f"enc.{i}.ln2", x, a_bits, drop, rng, rows)
-        enc.enc_attn.append(scores)
-        enc.enc_hidden.append(x)
+        trace.enc_attn.append(scores)
+        trace.enc_hidden.append(x)
     memory = layer_norm(x, p["enc.final_ln.gain"], p["enc.final_ln.bias"], LN_EPS)
     memory_q = quantize_activation(memory, a_bits)
-    enc.cross_kv = [
-        _keys_values(p, f"dec.{i}.cross", memory_q, cfg.n_heads, rows)
-        for i in range(cfg.n_dec_layers)
-    ]
-    return enc
+    return DecodeState(rows, [_keys_values(p, f"dec.{i}.cross", memory_q, cfg.n_heads, rows)
+                              for i in range(cfg.n_dec_layers)])
 
 
-def _decode(model, source, tgt, start, self_key_mask, a_bits, drop, rng, trace, rows=None,
+def _decode(model, state, tgt, start, self_key_mask, a_bits, drop, rng, trace, rows=None,
             pasts=None):
     """Decoder pass over target positions start, start + 1, ...; fills trace's
     decoder fields and logits, packed at rows if given (as _attention's x).
-    source, an Encoded or a DecodeState, gives the source mask and
-    cross-attention keys and values; pasts, if given, one self-attention
-    (keys, values) pair per layer of the earlier positions. Returns the
-    self-attention pairs each layer attended to."""
+    state gives the source mask and cross-attention keys and values; pasts,
+    if given, one self-attention (keys, values) pair per layer of the earlier
+    positions. Returns the self-attention pairs each layer attended to."""
     cfg, p = model.config, model.params
-    src_key_mask = source.src_valid[:, None, None, :]
+    src_key_mask = state.src_valid[:, None, None, :]
     self_kv = []
     y = _embed(p, tgt, rows, start, cfg.d_model, drop, rng)
     for i in range(cfg.n_dec_layers):
@@ -302,7 +315,7 @@ def _decode(model, source, tgt, start, self_key_mask, a_bits, drop, rng, trace, 
             rows, pasts[i] if pasts else None,
         )
         y, cross_scores, _ = _attention(
-            p, f"dec.{i}.cross", f"dec.{i}.ln2", y, source.cross_kv[i], src_key_mask, cfg,
+            p, f"dec.{i}.cross", f"dec.{i}.ln2", y, state.cross_kv[i], src_key_mask, cfg,
             a_bits, drop, rng, rows,
         )
         self_kv.append(kv)
@@ -348,44 +361,20 @@ def forward(
     if src.shape[0] != tgt.shape[0]:
         raise ShapeError(f"batch mismatch: {src.shape[0]} src rows vs {tgt.shape[0]} tgt rows")
     _check_length(cfg, "tgt", tgt.shape[1])
-    enc = encode(model, src, pad_id, a_bits=a_bits, training=training, rng=rng)
     tgt_valid = tgt != pad_id
-    trace = ForwardTrace(
-        logits=None, enc_attn=enc.enc_attn, src_valid=enc.src_valid, tgt_valid=tgt_valid,
-    )
+    trace = ForwardTrace(tgt_valid=tgt_valid)
+    state = encode(model, src, pad_id, trace, a_bits=a_bits, training=training, rng=rng)
     lt = tgt.shape[1]
     causal = np.tril(np.ones((lt, lt), dtype=bool))
     self_key_mask = tgt_valid[:, None, None, :] & causal[None, None, :, :]
     drop = cfg.dropout_rate if training else 0.0
-    _decode(model, enc, tgt, 0, self_key_mask, a_bits, drop, rng, trace, tgt_valid)
+    _decode(model, state, tgt, 0, self_key_mask, a_bits, drop, rng, trace, tgt_valid)
     # laid out padded only now, after the whole decoder: each hidden state's
     # gradient then sums its terms in the order a padded forward's did
     trace.logits = pad_rows(trace.logits, tgt_valid)
-    trace.enc_hidden = [pad_rows(h, enc.src_valid) for h in enc.enc_hidden]
+    trace.enc_hidden = [pad_rows(h, state.src_valid) for h in trace.enc_hidden]
     trace.dec_hidden = [pad_rows(h, tgt_valid) for h in trace.dec_hidden]
     return trace
-
-
-class DecodeState:
-    """What one-position decoder steps carry from call to call, for the rows
-    still decoding: their source mask and cross-attention keys and values,
-    and their earlier positions' validity and per-head self-attention keys
-    and values, which start at zero positions. keep() drops the other rows."""
-
-    def __init__(self, enc: Encoded):
-        self.src_valid, self.cross_kv = enc.src_valid, enc.cross_kv
-        self.tgt_valid = np.zeros((enc.src_valid.shape[0], 0), dtype=bool)
-        # per decoder layer: keys [B, H, dh, 0] and values [B, H, 0, dh], cut from the cross pair
-        self.self_kv = [(Tensor(k.data[..., :0]), Tensor(v.data[:, :, :0]))
-                        for k, v in self.cross_kv]
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only `rows` (a boolean mask or indices over the current rows)."""
-        self.src_valid, self.tgt_valid = self.src_valid[rows], self.tgt_valid[rows]
-        self.cross_kv, self.self_kv = (
-            [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in pairs]
-            for pairs in (self.cross_kv, self.self_kv)
-        )
 
 
 def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
@@ -405,7 +394,7 @@ def decode_step(model: SeqModel, state: DecodeState, ids, pad_id: int,
         raise ShapeError(f"decode_step got {tok.shape[0]} ids for {rows} rows")
     _check_length(model.config, "tgt", start + 1)
     state.tgt_valid = np.concatenate([state.tgt_valid, tok != pad_id], axis=1)
-    trace = ForwardTrace(logits=None, src_valid=state.src_valid, tgt_valid=state.tgt_valid)
+    trace = ForwardTrace(src_valid=state.src_valid, tgt_valid=state.tgt_valid)
     state.self_kv = _decode(model, state, tok, start, state.tgt_valid[:, None, None, :], a_bits,
                             0.0, None, trace, pasts=state.self_kv)
     return trace
@@ -440,7 +429,7 @@ def greedy_decode_batch(
     rows = np.arange(n)  # the batch indices of the rows still decoding
     nxt = np.full(n, bos_id, dtype=np.int64)
     with no_grad():
-        state = DecodeState(encode(model, src, pad_id, a_bits=a_bits))
+        state = encode(model, src, pad_id, ForwardTrace(), a_bits=a_bits)
         for t in range(steps):
             logits = decode_step(model, state, nxt, pad_id, a_bits=a_bits).logits
             nxt = logits.data[:, -1, :].argmax(axis=1)  # argmax -> lowest id on ties

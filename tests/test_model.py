@@ -9,7 +9,7 @@ import pytest
 from dqseq import model
 from dqseq.model import (
     ConfigError,
-    DecodeState,
+    ForwardTrace,
     ModelConfig,
     SeqModel,
     decode_step,
@@ -21,10 +21,11 @@ from dqseq.model import (
 )
 from dqseq.metrics import footprint
 from dqseq.quantizer import QuantConfig, quantize_model
-from dqseq.tasks import BOS, EOS
-from dqseq.tensor import MASK_VALUE, ShapeError, Tape, backward
+from dqseq.tasks import BOS, EOS, generate_task, seq2seq_batch
+from dqseq.tensor import MASK_VALUE, ShapeError, Tape, backward, no_grad
 
 import oracles
+from conftest import LADDER_TASK
 from tape_ops import sum_all
 
 PAD = 0
@@ -173,15 +174,15 @@ def test_an_all_padding_source_row_attends_to_zero_values():
     # is masked, so its cross-attention is the mean of its values, all zeros,
     # and its decode does not depend on the width or the other rows
     view = quantize_model(toy_model(seed=2), QuantConfig(2, 2, 8))
-    enc = encode(view, [[PAD, PAD], [4, 5]], PAD, a_bits=8)
-    assert all(not k.data[0].any() and not v.data[0].any() for k, v in enc.cross_kv)
+    state = encode(view, [[PAD, PAD], [4, 5]], PAD, ForwardTrace(), a_bits=8)
+    assert all(not k.data[0].any() and not v.data[0].any() for k, v in state.cross_kv)
     tr = forward(view, [[PAD, PAD], [4, 5]], [[BOS, 4], [BOS, 6]], PAD, a_bits=8)
     assert np.isfinite(tr.logits.data).all() and tr.logits.data[0].any(axis=-1).all()
     empty = forward(view, [[PAD, PAD]], [[PAD, PAD]], PAD, a_bits=8)  # no real position at all
     assert not empty.logits.data.any() and not empty.enc_hidden[0].data.any()
 
     def logits(other, steps=4):
-        state = DecodeState(encode(view, [[PAD] * len(other), other], PAD, a_bits=8))
+        state = encode(view, [[PAD] * len(other), other], PAD, ForwardTrace(), a_bits=8)
         ids, out = np.full(2, BOS), []
         for _ in range(steps):
             step = decode_step(view, state, ids, PAD, a_bits=8).logits.data[:, -1]
@@ -223,6 +224,40 @@ def test_batch_permutation_permutes_trace():
     b = forward(m, src[perm], tgt[perm], PAD)
     assert np.allclose(a.logits.data[perm], b.logits.data, atol=1e-6)
     assert np.allclose(a.enc_attn[0].data[perm], b.enc_attn[0].data, atol=1e-6)
+
+
+def test_a_frozen_teachers_trace_of_a_row_is_the_same_in_any_batch(briefly_trained):
+    # what a per-row cache of the teacher's trace reads: at one padded width a
+    # row's every trace field is bit-equal in batches of 32, 7, 2 and 1 rows.
+    # A one-token source alone is the exception: its encoder runs on one packed
+    # row, and OpenBLAS hands one-row products to gemv, which rounds otherwise
+    teacher, _ = briefly_trained
+    pairs = generate_task(LADDER_TASK).train.pairs
+    src, dec_in, _ = seq2seq_batch(pairs)  # one padded width for every batch below
+    seen, differ = {}, set()
+    with no_grad():
+        for b in (32, 7, 2, 1):
+            for start in range(0, len(pairs), b):
+                rows = np.arange(start, min(start + b, len(pairs)))
+                tr = forward(teacher, src[rows], dec_in[rows], PAD)
+                sv, tv = tr.src_valid, tr.tgt_valid
+                causal = np.tril(np.ones((tv.shape[1],) * 2, bool))
+                for maps, queries, keys in ((tr.enc_attn, sv, sv[:, None, :]),
+                                            (tr.dec_attn, tv, tv[:, None, :] & causal),
+                                            (tr.cross_attn, tv, sv[:, None, :])):
+                    keep = np.broadcast_to(keys[:, None], maps[0].shape)  # [B, H, Lq, Lk]
+                    padded_query = keep & ~queries[:, None, :, None]
+                    for s in maps:
+                        assert (s.data[~keep] == np.float32(MASK_VALUE)).all()
+                        assert s.data[padded_query].tobytes() == bytes(4 * padded_query.sum())
+                fields = [tr.logits, *tr.enc_hidden, *tr.dec_hidden,
+                          *tr.enc_attn, *tr.dec_attn, *tr.cross_attn]
+                for i, r in enumerate(rows):
+                    bits = b"".join(t.data[i].tobytes() for t in fields)
+                    if seen.setdefault(r, bits) != bits:
+                        differ.add(r)
+    assert len(seen) == len(pairs)
+    assert differ == {r for r, (s, _) in enumerate(pairs) if len(s) == 1}
 
 
 def test_gradients_flow_to_all_parameters():
@@ -401,7 +436,7 @@ def test_decode_steps_run_only_the_rows_still_decoding(briefly_trained, q, monke
     outs = greedy_decode_batch(view, srcs, BOS, EOS, cap, PAD, a_bits=q.a_bits)
     assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == DECODE_SHA256[q.label]
     src_valid = encode(view, [s + [PAD] * (max(map(len, srcs)) - len(s)) for s in srcs],
-                       PAD).src_valid
+                       PAD, ForwardTrace()).src_valid
     for t, (valid, ids) in enumerate(seen):
         live = [r for r, o in enumerate(outs) if len(o) >= t]  # no EOS before step t
         assert np.array_equal(valid, src_valid[live]), t
@@ -423,16 +458,16 @@ def test_keep_before_the_first_step_decodes_as_the_kept_rows_alone():
             out.append(ids)
         return np.stack(out, axis=1)
 
-    want = tokens(DecodeState(encode(view, src[going], PAD, a_bits=8)))
+    want = tokens(encode(view, src[going], PAD, ForwardTrace(), a_bits=8))
     for rows in (going, np.flatnonzero(going)):
-        state = DecodeState(encode(view, src, PAD, a_bits=8))
+        state = encode(view, src, PAD, ForwardTrace(), a_bits=8)
         state.keep(rows)  # before any decode_step: the caches are still empty
         assert np.array_equal(tokens(state), want)
 
 
 def test_decode_step_rejects_positions_past_max():
     m = toy_model()
-    state = DecodeState(encode(m, [[4, 5]], PAD))
+    state = encode(m, [[4, 5]], PAD, ForwardTrace())
     for _ in range(TOY.max_positions):
         decode_step(m, state, [BOS], PAD)
     with pytest.raises(ShapeError, match="max_positions"):

@@ -48,7 +48,7 @@ def test_run_ladder_writes_every_rung(tmp_path):
 TIMING_SCRIPTS = {
     "op_times.py --warmup 1 --steps 2":
         lambda out: all("linear" in out[kind]["forward"] for kind in ("teacher", "dq 2-2-8")),
-    "decode_times.py --batches 2": lambda out: "decode_step" in out["phase"],
+    "decode_times.py --batches 2": lambda out: {"encode", "decode_step"} <= set(out["phase"]),
     "ckpt_times.py --warmup 1 --reps 2": lambda out: out["phases_ms_median"]["pack"] > 0,
     "step_memory.py --warmup 1":
         lambda out: all(out[kind]["heap_peak_kb"] > 0 for kind in ("teacher", "dq 2-2-8")),
