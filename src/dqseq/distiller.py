@@ -3,8 +3,10 @@
 The student copies a depth-wise subset of teacher layers and then matches
 the teacher's logits, attention score maps, and hidden states at the
 selected layers. Every component is a sum over student layers of per-layer
-mean squared error; invalid positions (padding, causally masked keys) are
-excluded from the means.
+mean squared error. The logits and hidden states hold the real positions'
+rows alone; the attention maps keep the padded layout, so their invalid
+entries (padded or causally masked keys, padded queries) are masked out of
+the means.
 """
 
 from __future__ import annotations
@@ -114,16 +116,16 @@ def _layer_sum(terms: list[Tensor]) -> Tensor:
     return acc
 
 
-def _masked_mse(students: list[Tensor], teachers: list[Tensor], mask: np.ndarray) -> Tensor:
-    """Sum over layers of the MSE at the positions the mask marks valid."""
-    return _layer_sum(
-        [mse(s, t, mask=np.broadcast_to(mask, s.shape)) for s, t in zip(students, teachers)]
-    )
+def _layer_mse(students: list[Tensor], teachers: list[Tensor], mask=None) -> Tensor:
+    """Sum over layers of the MSE, at the elements the mask, if given, marks valid."""
+    return _layer_sum([mse(s, t, None if mask is None else np.broadcast_to(mask, s.shape))
+                       for s, t in zip(students, teachers)])
 
 
 def task_loss(student: ForwardTrace, labels: np.ndarray, pad_id: int) -> Tensor:
-    """Cross-entropy of the gold labels, ignoring padded positions."""
-    return cross_entropy(student.logits, labels, ignore_id=pad_id)
+    """Cross-entropy of the gold labels at the real decoder positions (the
+    packed logits' rows), ignoring pad_id labels."""
+    return cross_entropy(student.logits, labels[student.tgt_valid], ignore_id=pad_id)
 
 
 def total_loss(
@@ -136,7 +138,8 @@ def total_loss(
     """Task loss plus, when a teacher is given, the full distillation stack.
 
     The logits and every mapped student layer's attention scores and hidden
-    states are matched to the teacher's by masked MSE. Without a teacher
+    states are matched to the teacher's by MSE, the attention scores masked
+    to their valid entries. Without a teacher
     every distillation component is a zero constant and total reduces to
     the task loss.
     """
@@ -148,18 +151,15 @@ def total_loss(
         raise ValueError("distillation against a teacher needs a layer map")
     sv, tv = student.src_valid, student.tgt_valid
     causal = np.tril(np.ones((tv.shape[1], tv.shape[1]), dtype=bool))
-    masks = {  # trace field -> validity mask, broadcastable to its tensors
-        "logits": tv[:, :, None],
+    masks = {  # attention map -> validity mask, broadcastable to its [B, H, Lq, Lk] scores
         "enc_attn": sv[:, None, :, None] & sv[:, None, None, :],
         "dec_attn": tv[:, None, :, None] & tv[:, None, None, :] & causal,
         "cross_attn": tv[:, None, :, None] & sv[:, None, None, :],
-        "enc_hidden": sv[:, :, None],
-        "dec_hidden": tv[:, :, None],
     }
-    lg = _masked_mse([student.logits], [teacher.logits], masks["logits"])
+    lg = _layer_mse([student.logits], [teacher.logits])
     ea, da, ca, eh, dh = (
-        _masked_mse(getattr(student, name), [getattr(teacher, name)[m] for m in stack],
-                    masks[name])
+        _layer_mse(getattr(student, name), [getattr(teacher, name)[m] for m in stack],
+                   masks.get(name))
         for name, stack in (
             ("enc_attn", layer_map.enc), ("dec_attn", layer_map.dec),
             ("cross_attn", layer_map.dec), ("enc_hidden", layer_map.enc),

@@ -21,7 +21,7 @@ from .checkpoint import CheckpointError, build_model, load_model, save_checkpoin
 from .distiller import DistillConfig
 from .metrics import footprint
 from .model import ModelConfig, SeqModel, param_specs
-from .quantizer import QuantConfig, quantize_params
+from .quantizer import QuantConfig, quantize_params, usable_cpus
 from .tasks import TaskError, TaskSpec, generate_task
 from .trainer import CONFIG_ERRORS, TrainConfig, TrainError, evaluate, train
 
@@ -192,7 +192,7 @@ def run_experiments(manifests: list[RunManifest],
     list starts once that one has run and written it, so a chain teacher ->
     assistant -> student runs in order; every other job starts at once. A
     chain that runs into a cycle raises HarnessError before any job starts.
-    At most os.cpu_count() jobs run at a time, each in a spawned process on
+    At most usable_cpus() jobs run at a time, each in a spawned process on
     one BLAS thread. Each manifest's result and wall_clock are filled in
     here, in the caller's process. Every job is seeded, so the rows and files
     are those of a serial loop. The first failed job raises HarnessError once
@@ -225,7 +225,7 @@ def run_experiments(manifests: list[RunManifest],
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    workers = os.cpu_count() or 1
+    workers = usable_cpus()
     spawn = multiprocessing.get_context("spawn")
     with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
         running = {}

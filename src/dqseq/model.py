@@ -8,8 +8,8 @@ residual stream is packed: one [N, D] row per real position of the batch,
 so embeddings, layer norms, activation quantization, linears and GELU
 never touch padding. Only attention sees the padded [B, L] layout: linear
 writes the real rows' queries, keys and values into zero-filled per-head
-arrays, and attention_context returns the real rows alone. The trace lays
-the hidden states and logits out padded again, with zeros at padding. The
+arrays, and attention_context returns the real rows alone. The trace keeps
+the hidden states and logits packed as the model computes them. The
 token embedding table is shared by the encoder input, decoder input, and
 output projection. encode returns the one DecodeState that every decoder
 pass reads: the source mask and each decoder layer's cross-attention keys
@@ -42,7 +42,6 @@ from .tensor import (
     linear,
     matmul,
     no_grad,
-    pad_rows,
     transpose,
 )
 
@@ -161,16 +160,17 @@ def init_model(config: ModelConfig, seed: int) -> SeqModel:
 
 @dataclass
 class ForwardTrace:
-    """Everything a distillation loss consumes from one forward pass. encode
-    and the decoder append packed hidden rows; forward lays them and the
-    logits out padded last, with exact zeros at padding."""
+    """Everything a distillation loss consumes from one forward pass. The
+    hidden states and logits are packed: one row per real position of
+    src_valid (Ns rows) or tgt_valid (Nt rows), in C order. The attention
+    scores keep the padded [B, H, Lq, Lk] layout."""
 
-    logits: Tensor | None = None
+    logits: Tensor | None = None  # [Nt, V]; decode_step's are [B, 1, V]
     enc_attn: list[Tensor] = field(default_factory=list)  # [B, H, Ls, Ls] per layer
     dec_attn: list[Tensor] = field(default_factory=list)  # [B, H, Lt, Lt]
     cross_attn: list[Tensor] = field(default_factory=list)  # [B, H, Lt, Ls]
-    enc_hidden: list[Tensor] = field(default_factory=list)  # [B, Ls, D] per layer
-    dec_hidden: list[Tensor] = field(default_factory=list)  # [B, Lt, D]
+    enc_hidden: list[Tensor] = field(default_factory=list)  # [Ns, D] per layer
+    dec_hidden: list[Tensor] = field(default_factory=list)  # [Nt, D]
     src_valid: np.ndarray | None = None  # [B, Ls] bool
     tgt_valid: np.ndarray | None = None  # [B, Lt] bool
 
@@ -352,7 +352,7 @@ def forward(
     sums and products over the keys still see the padded width: at any
     a_bits, appending padding or batching with other sequences changes the
     outputs at real positions only by their float rounding. The trace's
-    hidden states and logits are exact zeros at padding. Decoder
+    hidden states and logits hold the real positions' rows alone. Decoder
     self-attention is causal.
     """
     cfg = model.config
@@ -369,11 +369,6 @@ def forward(
     self_key_mask = tgt_valid[:, None, None, :] & causal[None, None, :, :]
     drop = cfg.dropout_rate if training else 0.0
     _decode(model, state, tgt, 0, self_key_mask, a_bits, drop, rng, trace, tgt_valid)
-    # laid out padded only now, after the whole decoder: each hidden state's
-    # gradient then sums its terms in the order a padded forward's did
-    trace.logits = pad_rows(trace.logits, tgt_valid)
-    trace.enc_hidden = [pad_rows(h, state.src_valid) for h in trace.enc_hidden]
-    trace.dec_hidden = [pad_rows(h, tgt_valid) for h in trace.dec_hidden]
     return trace
 
 

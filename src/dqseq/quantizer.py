@@ -279,7 +279,7 @@ def quantize_params(params: dict, categories: dict, qconfig: QuantConfig) -> dic
     def drain() -> list:
         return [(name, quantize(*jobs[name])) for name in pending]
 
-    helpers = min(len(large), _cpus()) - 1 if len(large) > 1 else 0
+    helpers = min(len(large), usable_cpus()) - 1 if len(large) > 1 else 0
     if helpers:
         # deferred: the import (logging and all) costs about 0.6 MB of peak RSS,
         # which training and decoding, whose tensors stay small, do not pay
@@ -293,8 +293,9 @@ def quantize_params(params: dict, categories: dict, qconfig: QuantConfig) -> dic
     return {name: done.get(name, t) for name, t in params.items()}
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask's, which
+    taskset or a container's cpuset can make smaller than os.cpu_count()."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks

@@ -472,18 +472,6 @@ def _dropout_keep(shape, rate: float, rng: np.random.Generator | None) -> np.nda
     return (rng.random(shape) >= rate).astype(np.float32) / (1.0 - rate)
 
 
-def pad_rows(x, rows) -> Tensor:
-    """The packed rows [N, ...] of x laid out at the real positions of rows,
-    a [B, L] boolean mask, in C order, with zeros at the others: [B, L, ...]."""
-    x = _as_tensor(x)
-    if np.count_nonzero(rows) != len(x.data):
-        raise ShapeError(f"pad_rows got {len(x.data)} rows for {np.count_nonzero(rows)} "
-                         f"real positions")
-    out = np.zeros(rows.shape + x.shape[1:], np.float32)
-    out[rows] = x.data
-    return _record("pad_rows", out, (x,), lambda g: (g[rows],))
-
-
 # the score of a key that attention_scores' key mask leaves out
 MASK_VALUE = -1e9
 

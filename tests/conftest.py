@@ -5,6 +5,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # one BLAS thread, as the benchmark runs; set before numpy loads
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from dqseq.distiller import DistillConfig, init_student  # noqa: E402
@@ -17,6 +18,14 @@ LADDER_TASK = TaskSpec("copy", vocab_size=16, min_len=1, max_len=12,
                        train_size=512, dev_size=64, test_size=64, seed=0)
 LADDER_MODEL = ModelConfig(vocab_size=16, d_model=64, n_heads=4, d_ff=256,
                            n_enc_layers=2, n_dec_layers=2, max_positions=16)
+
+
+def padded(packed, valid) -> np.ndarray:
+    """A trace field's packed rows [N, ...] laid out at the real positions of
+    valid, a [B, L] boolean mask, in C order, with zeros elsewhere: [B, L, ...]."""
+    out = np.zeros(valid.shape + packed.shape[1:], np.float32)
+    out[valid] = packed.data
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,6 @@ from dqseq.tensor import (
     linear,
     matmul,
     mse,
-    pad_rows,
     straight_through,
     transpose,
 )
@@ -310,9 +309,6 @@ def test_gradients_match_finite_differences():
          lambda x, w, b: w32(linear(x, w, b, 2, True, rows), (2, 2, 2, 3)),
          lambda x, w, b: w64(padded(ref_linear(x, w, b)).reshape(2, 3, 2, 2)
                              .transpose(0, 2, 3, 1), (2, 2, 2, 3))),
-        ("pad_rows", (T(4, 3),),
-         lambda a: w32(pad_rows(a, rows), (2, 3, 3)),
-         lambda a: w64(padded(a), (2, 3, 3))),
         # the reference's fill moves no gradient; MASK_VALUE's -1e9 would swamp the fd
         ("attention_scores masked key", (T(2, 3, 4), T(2, 5, 4)),
          lambda q, k: w32(attention_scores(heads(q), heads(k, keys=True), key_mask),

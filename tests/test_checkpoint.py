@@ -494,7 +494,7 @@ def test_quantize_params_fans_large_tensors_out_to_threads(monkeypatch, qc, cpus
         return quantize(w, bits, row_wise)
 
     monkeypatch.setattr(quantizer, "quantize", recording)
-    monkeypatch.setattr(quantizer, "_cpus", lambda: cpus)
+    monkeypatch.setattr(quantizer, "usable_cpus", lambda: cpus)
     threads = threading.active_count()
     stored = quantize_params(params, cats, qc)
     assert threading.active_count() == threads  # every helper has ended
@@ -528,7 +528,7 @@ FANOUT_SHA256 = {
 
 @pytest.mark.parametrize("qc", FANOUT_QCS, ids=lambda qc: qc.label + "rw" * qc.row_wise)
 def test_saved_bytes_of_a_fanned_out_set_are_frozen(tmp_path, monkeypatch, qc):
-    monkeypatch.setattr(quantizer, "_cpus", lambda: 2)
+    monkeypatch.setattr(quantizer, "usable_cpus", lambda: 2)
     stored = quantize_params(init_model(FANOUT, seed=17).params, categories(FANOUT), qc)
     path = tmp_path / "fanout.ckpt"
     save_checkpoint(str(path), stored, small_meta(model_config=FANOUT, quant_config=qc))

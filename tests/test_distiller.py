@@ -224,9 +224,9 @@ def test_single_layer_hidden_fixture():
     def trace(hidden):
         full = lambda *shape, v=0.0: Tensor(np.full(shape, v, np.float32))
         return ForwardTrace(
-            logits=full(1, 2, 5),
+            logits=full(2, 5),
             enc_attn=[full(1, 1, 2, 2)], dec_attn=[full(1, 1, 2, 2)], cross_attn=[full(1, 1, 2, 2)],
-            enc_hidden=[full(1, 2, 3, v=hidden)], dec_hidden=[full(1, 2, 3, v=hidden)],
+            enc_hidden=[full(2, 3, v=hidden)], dec_hidden=[full(2, 3, v=hidden)],
             src_valid=valid, tgt_valid=valid,
         )
 
@@ -286,17 +286,23 @@ def test_loss_components_match_float64_reference():
 # masking semantics: invalid positions must not influence the losses
 
 
-def test_logits_loss_ignores_padded_target_positions():
+def test_trace_holds_the_real_positions_rows_of_the_float64_reference():
+    # the logits and hidden states the losses match are the real positions'
+    # rows, packed in C order: padding has no row to leak into a mean
     teacher = init_model(DEEP, seed=5)
-    student = init_model(DEEP, seed=6)
-    lmap = LayerMap(enc=(0, 1, 2, 3), dec=(0, 1, 2, 3))
-    src, dec_in, labels = batch(np.random.default_rng(5), DEEP)
-    st, tt = traces(teacher, student, src, dec_in)
-    base = components(st, tt, labels, lmap, ["logits"])
-    pad_rows = ~st.tgt_valid
-    assert pad_rows.any()
-    tt.logits.data[pad_rows] += 100.0
-    assert components(st, tt, labels, lmap, ["logits"]) == base
+    src, dec_in, _ = batch(np.random.default_rng(5), DEEP)
+    tr = forward(teacher, src, dec_in, PAD)
+    ref = ref_forward(DEEP, {k: v.data.astype(np.float64) for k, v in teacher.params.items()},
+                      src, dec_in, PAD)
+    sv, tv = tr.src_valid, tr.tgt_valid
+    assert not sv.all() and not tv.all()
+    fields = [(tr.logits, ref["logits"], tv)]
+    fields += [(h, r, sv) for h, r in zip(tr.enc_hidden, ref["enc_hidden"], strict=True)]
+    fields += [(h, r, tv) for h, r in zip(tr.dec_hidden, ref["dec_hidden"], strict=True)]
+    for got, want, valid in fields:
+        assert got.shape == (np.count_nonzero(valid), want.shape[-1])
+        want = want[valid]
+        assert np.abs(got.data - want).max() <= 1e-4 * np.abs(want).max()
 
 
 def test_attention_loss_masks_padded_and_future_keys():
@@ -320,18 +326,6 @@ def test_attention_loss_masks_padded_and_future_keys():
     moved = components(st, tt, labels, lmap, ATTN)
     assert moved[1] != base[1]
     assert moved[0] == base[0] and moved[2] == base[2]
-
-
-def test_hidden_loss_masks_padded_positions():
-    teacher = init_model(DEEP, seed=5)
-    student = init_model(DEEP, seed=6)
-    lmap = LayerMap(enc=(0, 1, 2, 3), dec=(0, 1, 2, 3))
-    src, dec_in, labels = batch(np.random.default_rng(7), DEEP)
-    st, tt = traces(teacher, student, src, dec_in)
-    base = components(st, tt, labels, lmap, HIDDEN)
-    tt.enc_hidden[2].data[~st.src_valid] += 10.0
-    tt.dec_hidden[3].data[~st.tgt_valid] += 10.0
-    assert components(st, tt, labels, lmap, HIDDEN) == base
 
 
 # ---------------------------------------------------------------------------

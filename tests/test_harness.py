@@ -1,16 +1,20 @@
 """Manifest round-trips, experiment orchestration, and table output."""
 
+import concurrent.futures
 import copy
 import hashlib
 import json
 import multiprocessing
 import os
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from dqseq.checkpoint import load_checkpoint, load_model, save_checkpoint
+from dqseq import harness
 from dqseq.cli import main
 from dqseq.distiller import DistillConfig
 from dqseq.harness import (
@@ -420,6 +424,40 @@ def test_runner_runs_a_teacher_assistant_chain_in_order(tmp_path):
     for m in manifests:
         assert open(m.out_path, "rb").read() == saved[m.out_path]
     assert multiprocessing.active_children() == []
+
+
+def test_runner_never_runs_more_jobs_at_once_than_usable_cpus(tmp_path, monkeypatch):
+    # jobs run as threads in a pool wider than asked for, so only run_experiments'
+    # own limit keeps them apart; a job is a stub that records how many run with it
+    lock, running, peak, widths = threading.Lock(), [0], [0], []
+
+    def job(manifest, log_path):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.05)
+        with lock:
+            running[0] -= 1
+        return {"out_path": manifest.out_path}, 0.05
+
+    class ThreadPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers, mp_context):
+            widths.append(workers)
+            super().__init__(4)
+
+    monkeypatch.setattr(harness, "_run_job", job)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
+    manifests = [teacher_manifest(str(tmp_path / f"t{i}.ckpt"), seed=i) for i in range(4)]
+    for cpus in (1, 4):
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        peak[0] = 0
+        rows = run_experiments(copy.deepcopy(manifests))
+        assert rows == [{"out_path": m.out_path} for m in manifests]
+        assert widths[-1] == cpus
+        if cpus == 1:
+            assert peak[0] == 1
+        else:
+            assert peak[0] > 1  # overlapping jobs do show
 
 
 def test_runner_refuses_a_teacher_path_cycle_before_any_job_starts(tmp_path):

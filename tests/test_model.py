@@ -25,7 +25,7 @@ from dqseq.tasks import BOS, EOS, generate_task, seq2seq_batch
 from dqseq.tensor import MASK_VALUE, ShapeError, Tape, backward, no_grad
 
 import oracles
-from conftest import LADDER_TASK
+from conftest import LADDER_TASK, padded
 from tape_ops import sum_all
 
 PAD = 0
@@ -84,14 +84,14 @@ def test_forward_shapes_and_trace_lengths():
     rng = np.random.default_rng(0)
     src, tgt = rand_batch(rng, TOY)
     tr = forward(m, src, tgt, PAD)
-    assert tr.logits.shape == (3, 5, 16)
+    assert tr.logits.shape == (3 * 5, 16)  # no padding: every position is a packed row
     assert len(tr.enc_attn) == len(tr.enc_hidden) == 2
     assert len(tr.dec_attn) == len(tr.cross_attn) == len(tr.dec_hidden) == 2
     assert tr.enc_attn[0].shape == (3, 4, 7, 7)
     assert tr.dec_attn[0].shape == (3, 4, 5, 5)
     assert tr.cross_attn[1].shape == (3, 4, 5, 7)
-    assert tr.enc_hidden[0].shape == (3, 7, 32)
-    assert tr.dec_hidden[1].shape == (3, 5, 32)
+    assert tr.enc_hidden[0].shape == (3 * 7, 32)
+    assert tr.dec_hidden[1].shape == (3 * 5, 32)
     assert np.all(np.isfinite(tr.logits.data))
 
 
@@ -123,8 +123,9 @@ def test_decoder_causality_exact():
     altered[:, 4] = (altered[:, 4] % 12) + 4  # change a later input token
     assert not np.array_equal(altered, tgt)
     out = forward(m, src, altered, PAD)
-    assert np.array_equal(base.logits.data[:, :4], out.logits.data[:, :4])
-    assert not np.allclose(base.logits.data[:, 4:], out.logits.data[:, 4:])
+    a, b = (padded(t.logits, t.tgt_valid) for t in (base, out))
+    assert np.array_equal(a[:, :4], b[:, :4])
+    assert not np.allclose(a[:, 4:], b[:, 4:])
 
 
 def test_padding_invariance():
@@ -132,17 +133,17 @@ def test_padding_invariance():
     rng = np.random.default_rng(3)
     src, tgt = rand_batch(rng, TOY, b=2, ls=5)
     base = forward(m, src, tgt, PAD)
-    padded = np.concatenate([src, np.full((2, 3), PAD, np.int64)], axis=1)
-    out = forward(m, padded, tgt, PAD)
+    wider = np.concatenate([src, np.full((2, 3), PAD, np.int64)], axis=1)
+    out = forward(m, wider, tgt, PAD)
+    # the packed rows are the real positions': the same rows at either width
     assert np.allclose(base.logits.data, out.logits.data, atol=1e-5)
-    assert np.allclose(
-        base.enc_hidden[-1].data, out.enc_hidden[-1].data[:, :5], atol=1e-5
-    )
+    assert np.allclose(base.enc_hidden[-1].data, out.enc_hidden[-1].data, atol=1e-5)
 
 
 def test_trace_is_exact_zero_at_padding():
-    # position-wise ops run on the real positions only; forward lays their
-    # hidden states and logits out padded, with +0.0 at every padded position
+    # position-wise ops run on the real positions only, and the trace keeps
+    # their hidden states and logits packed: a padded position has no row at
+    # all, and every real position's row is finite and nonzero
     m = toy_model()
     src = np.array([[4, 5, PAD, PAD], [6, 7, 8, 9], [PAD, 5, 6, PAD]], np.int64)
     tgt = np.array([[1, 4, PAD], [1, 6, 7], [1, PAD, 5]], np.int64)
@@ -150,8 +151,8 @@ def test_trace_is_exact_zero_at_padding():
         tr = forward(quantize_model(m, q), src, tgt, PAD, a_bits=q.a_bits)
         for pad, fields in ((src == PAD, tr.enc_hidden), (tgt == PAD, tr.dec_hidden + [tr.logits])):
             for t in fields:
-                assert t.data[pad].tobytes() == np.zeros_like(t.data[pad]).tobytes()
-                assert np.isfinite(t.data).all() and t.data[~pad].any(axis=-1).all()
+                assert len(t.data) == np.count_nonzero(~pad)
+                assert np.isfinite(t.data).all() and t.data.any(axis=-1).all()
 
 
 def test_a_width_one_batch_runs_as_with_one_more_padding_column():
@@ -166,7 +167,7 @@ def test_a_width_one_batch_runs_as_with_one_more_padding_column():
         b = forward(view, *wider, PAD, a_bits=q.a_bits)
         for x, y in zip([a.logits, *a.enc_hidden, *a.dec_hidden],
                         [b.logits, *b.enc_hidden, *b.dec_hidden]):
-            assert x.data.tobytes() == y.data[:, :1].tobytes(), q.label
+            assert x.data.tobytes() == y.data.tobytes(), q.label  # the same packed rows
 
 
 def test_an_all_padding_source_row_attends_to_zero_values():
@@ -177,9 +178,10 @@ def test_an_all_padding_source_row_attends_to_zero_values():
     state = encode(view, [[PAD, PAD], [4, 5]], PAD, ForwardTrace(), a_bits=8)
     assert all(not k.data[0].any() and not v.data[0].any() for k, v in state.cross_kv)
     tr = forward(view, [[PAD, PAD], [4, 5]], [[BOS, 4], [BOS, 6]], PAD, a_bits=8)
-    assert np.isfinite(tr.logits.data).all() and tr.logits.data[0].any(axis=-1).all()
+    assert np.isfinite(tr.logits.data).all()
+    assert padded(tr.logits, tr.tgt_valid)[0].any(axis=-1).all()
     empty = forward(view, [[PAD, PAD]], [[PAD, PAD]], PAD, a_bits=8)  # no real position at all
-    assert not empty.logits.data.any() and not empty.enc_hidden[0].data.any()
+    assert empty.logits.shape == (0, TOY.vocab_size) and empty.enc_hidden[0].shape == (0, 32)
 
     def logits(other, steps=4):
         state = encode(view, [[PAD] * len(other), other], PAD, ForwardTrace(), a_bits=8)
@@ -222,7 +224,8 @@ def test_batch_permutation_permutes_trace():
     perm = np.array([2, 0, 3, 1])
     a = forward(m, src, tgt, PAD)
     b = forward(m, src[perm], tgt[perm], PAD)
-    assert np.allclose(a.logits.data[perm], b.logits.data, atol=1e-6)
+    assert np.allclose(padded(a.logits, a.tgt_valid)[perm], padded(b.logits, b.tgt_valid),
+                       atol=1e-6)
     assert np.allclose(a.enc_attn[0].data[perm], b.enc_attn[0].data, atol=1e-6)
 
 
@@ -250,10 +253,11 @@ def test_a_frozen_teachers_trace_of_a_row_is_the_same_in_any_batch(briefly_train
                     for s in maps:
                         assert (s.data[~keep] == np.float32(MASK_VALUE)).all()
                         assert s.data[padded_query].tobytes() == bytes(4 * padded_query.sum())
-                fields = [tr.logits, *tr.enc_hidden, *tr.dec_hidden,
-                          *tr.enc_attn, *tr.dec_attn, *tr.cross_attn]
+                fields = [*(padded(t, tv) for t in [tr.logits, *tr.dec_hidden]),
+                          *(padded(t, sv) for t in tr.enc_hidden),
+                          *(t.data for t in [*tr.enc_attn, *tr.dec_attn, *tr.cross_attn])]
                 for i, r in enumerate(rows):
-                    bits = b"".join(t.data[i].tobytes() for t in fields)
+                    bits = b"".join(f[i].tobytes() for f in fields)
                     if seen.setdefault(r, bits) != bits:
                         differ.add(r)
     assert len(seen) == len(pairs)
@@ -387,10 +391,12 @@ def test_incremental_decode_matches_full_recompute(briefly_trained, q, monkeypat
     view = quantize_model(teacher, q)
     srcs = [s for s, _ in dev.pairs]
     cap = view.config.max_positions - 1
-    want, want_logits = oracles.ref_greedy_full(
-        lambda src, tgt: forward(view, src, tgt, PAD, a_bits=q.a_bits).logits.data,
-        srcs, BOS, EOS, cap, PAD,
-    )
+
+    def full_logits(src, tgt):
+        trace = forward(view, src, tgt, PAD, a_bits=q.a_bits)
+        return padded(trace.logits, trace.tgt_valid)
+
+    want, want_logits = oracles.ref_greedy_full(full_logits, srcs, BOS, EOS, cap, PAD)
     got_logits = []
     step = model.decode_step
 

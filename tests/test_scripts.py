@@ -89,28 +89,28 @@ FROZEN_STEP_HASHES = {
         "checkpoint": "502c40c73516c863538ebab1ccf15164be16fc9d672a78acbd9d0d0bafc9af1e",
         "decode": "56af85e8fb7916a6c8f2196246093171701636d945a3662ea52e39b8b6a6200b",
         "load": "b0339e03700d6df17eea493b957a17d598d0c19dc3208114cd6c4b4ae62814c5",
-        "losses": "c0785f5d376cada8b5a9def6f1deb75287a155043b32e087ad2ddc2811e70255",
+        "losses": "2c27ffbec33eb84d012a449b8ac03eff47b3b6eac07f9d14ab7b6709cd64b411",
         "params": "e75148758cdc41b7cd477ead0f2543713df47b4635049963bfb37599a992dd2d",
     },
     "dq 2-2-8/dropout=0.1": {
         "checkpoint": "f2f494326faaf587e6343419d21c258b94fcc19a61952c664bdb3dc5e20458c9",
         "decode": "9b450b7b3ca0c6106095dde34d06ccf7545856439c5a267867903a4cb77ec641",
         "load": "b0afaad485a32bf458946e42ddd4d4259681422706d8aa95de7169b8543b63a9",
-        "losses": "1c3ee1570c84529c8aa2d3cc95b4ba8ceb4423a6efb7c4677ba73a8dbf23cc24",
+        "losses": "4213c982bed8875d0e2ebc03296f6e9f854deb949e97e61ef4eaa5eb5c7aa336",
         "params": "c8e9a4f0ced22940574d45203e8797d9b8ed74b51dfc63af78bf4fc1722ff609",
     },
     "dq 8-8-8/dropout=0.0": {
         "checkpoint": "d2343959b82693e6f5cce8a6b53bd5ce9a18278d4fc3b3c68d66c3ae9eee753c",
         "decode": "6f84ddd8e60eb21359b14ab361bbdea0633fbef821520b04a0fe23ff3c612ca9",
         "load": "5b6079ea84b01d136562d0acd4abe8e3850fedb9193da2d44ab487c59cb9025a",
-        "losses": "891c3fdb00f7d0d2be7af5931b68ee82358c177ad622f2dfee0e5963306186df",
+        "losses": "7da6bb3399dbb47b6d2ab4e2f092ff2f1fa6ecdc2b2d9f149a06d9f97a9e6e3f",
         "params": "33f6f43de7e29ebcd95b88a579b18b121633e49a942bd19f8d4e155cf7d48d44",
     },
     "dq 8-8-8/dropout=0.1": {
         "checkpoint": "73a22a8d419f12dbe7d59094de81f32ba58a0cba6f2fe18b21bd6765d2885ab3",
         "decode": "4c190bc7f5c34110f91798891bc810c5f91d06a25087f6e63bcf3020735fb850",
         "load": "c25580a4d6243bf1c16111005cc1a4b9f9c9f6048f542089d49cee543a8f3ad8",
-        "losses": "95b58138480fca7e0f931795b74a768717418fd1ba96fc474031345ec36b4218",
+        "losses": "3a3bffb664fe0891476dacb753ff77d881c31c1df87503f216f592fa72edaee5",
         "params": "4869ec91bdbc4299a668cb3364e40e5e8f5f4ad492fc5423c758cd57385a1296",
     },
     "teacher/dropout=0.0": {

@@ -30,7 +30,6 @@ from dqseq.tensor import (
     matmul,
     mse,
     no_grad,
-    pad_rows,
     set_nan_checks,
     straight_through,
     transpose,
@@ -225,18 +224,6 @@ def test_packed_dropout_draws_at_the_padded_shape():
     packed = dropout(Tensor(x[ROWS]), 0.5, b, ROWS)
     assert packed.data.tobytes() == padded.data[ROWS].tobytes()
     assert a.integers(1 << 62) == b.integers(1 << 62)
-
-
-def test_pad_rows_lays_packed_rows_out_with_zeros():
-    x = Tensor(np.arange(ROWS.sum() * 2, dtype=np.float32).reshape(-1, 2) + 1, requires_grad=True)
-    out = pad_rows(x, ROWS)
-    assert out.shape == ROWS.shape + (2,)
-    assert np.array_equal(out.data[ROWS], x.data) and not out.data[~ROWS].any()
-    g = np.random.default_rng(0).standard_normal(out.shape).astype(np.float32)
-    (gx,) = _backprop(lambda: pad_rows(x, ROWS), g, x)
-    assert gx.tobytes() == g[ROWS].tobytes()
-    with pytest.raises(ShapeError, match="rows"):
-        pad_rows(x, ROWS[:2])
 
 
 def test_embedding_gather_scaled_plus_positions_is_the_three_ops_in_one_node():
