@@ -305,6 +305,24 @@ def test_trace_holds_the_real_positions_rows_of_the_float64_reference():
         assert np.abs(got.data - want).max() <= 1e-4 * np.abs(want).max()
 
 
+def pad_col(a):
+    """`a` with one more all-padding column: more padded positions, same real ones."""
+    return np.concatenate([a, np.full((a.shape[0], 1), PAD, a.dtype)], axis=1)
+
+
+def test_logits_loss_ignores_padded_target_positions():
+    teacher = init_model(DEEP, seed=5)
+    student = init_model(DEEP, seed=6)
+    lmap = LayerMap(enc=(0, 1, 2, 3), dec=(0, 1, 2, 3))
+    src, dec_in, labels = batch(np.random.default_rng(5), DEEP)
+    st, tt = traces(teacher, student, src, dec_in)
+    base = components(st, tt, labels, lmap, ["logits"])
+    st2, tt2 = traces(teacher, student, src, pad_col(dec_in))
+    assert (~st2.tgt_valid).sum() > (~st.tgt_valid).sum()
+    assert tt2.logits.shape == tt.logits.shape
+    assert components(st2, tt2, pad_col(labels), lmap, ["logits"]) == base
+
+
 def test_attention_loss_masks_padded_and_future_keys():
     teacher = init_model(DEEP, seed=5)
     student = init_model(DEEP, seed=6)
@@ -326,6 +344,20 @@ def test_attention_loss_masks_padded_and_future_keys():
     moved = components(st, tt, labels, lmap, ATTN)
     assert moved[1] != base[1]
     assert moved[0] == base[0] and moved[2] == base[2]
+
+
+def test_hidden_loss_masks_padded_positions():
+    teacher = init_model(DEEP, seed=5)
+    student = init_model(DEEP, seed=6)
+    lmap = LayerMap(enc=(0, 1, 2, 3), dec=(0, 1, 2, 3))
+    src, dec_in, labels = batch(np.random.default_rng(7), DEEP)
+    st, tt = traces(teacher, student, src, dec_in)
+    base = components(st, tt, labels, lmap, HIDDEN)
+    st2, tt2 = traces(teacher, student, pad_col(src), pad_col(dec_in))
+    assert (~st2.src_valid).sum() > (~st.src_valid).sum()
+    assert [h.shape for h in tt2.enc_hidden + tt2.dec_hidden] == \
+        [h.shape for h in tt.enc_hidden + tt.dec_hidden]
+    assert components(st2, tt2, pad_col(labels), lmap, HIDDEN) == base
 
 
 # ---------------------------------------------------------------------------
